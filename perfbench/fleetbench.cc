@@ -97,7 +97,7 @@ using Clock = std::chrono::steady_clock;
 
 constexpr const char *kProgram = "test40";
 /** Set-ups per run; setup_s is their median. */
-constexpr int kSetups = 3;
+constexpr int kSetups = 10;
 
 // ingest_tree: 16 hosts -> 2 relays -> root, closed loop. Client c
 // owns the 8 hosts of relay c, so a plain ack never waits behind a
@@ -1253,15 +1253,23 @@ runQueryCold(Context &ctx)
 {
     Outcome &out = ctx.out;
     std::vector<const Shard *> base;
-    Daemon root;
+    // Closed loop: one client rotates verb x format; every request
+    // has its own cutoff, so it misses both service caches.
+    const char *verbs[] = {"mix", "report", "fdo"};
+    const char *formats[] = {"text", "csv", "json"};
+    std::map<size_t, std::pair<QueryRequest, QueryReply>> first, last;
+    size_t i = 0;
+    // Each set-up is followed by its share of the timed window, so the
+    // pre-loads and the queries are spread over the whole run rather
+    // than the pre-loads all sampling its first seconds.
     for (int s = 0; s < ctx.setups; s++) {
-        stopRoot(root);
         double t0 = nowSec();
         ctx.shards =
             generateShards(ctx.program, preloadSpecs(kColdHosts), ctx.seed);
         double t_collect = nowSec();
-        root = spawnRoot(ctx.tool, format("%s/root%d", ctx.work.c_str(), s),
-                         false);
+        Daemon root =
+            spawnRoot(ctx.tool, format("%s/root%d", ctx.work.c_str(), s),
+                      false);
         base.clear();
         for (const Shard &sh : ctx.shards)
             base.push_back(&sh);
@@ -1274,50 +1282,48 @@ runQueryCold(Context &ctx)
         warmUp(root);
         out.setup_s.push_back(nowSec() - t0);
         out.collect_s = t_collect - t0;
+
+        std::map<std::string, double> before;
+        std::map<std::string, double> status_before;
+        if (g_tracer.on) {
+            before = scrape(root);
+            status_before = statusCounters(root);
+        }
+        std::map<std::string, double> own_before = ownCounters();
+
+        QueryClient client("127.0.0.1", root.port, 60'000);
+        double end = nowSec() + ctx.seconds / ctx.setups;
+        for (; nowSec() < end; i++) {
+            size_t pair = i % 9;
+            QueryRequest req = makeRequest(
+                verbs[pair / 3],
+                {{"cutoff", format("%.4f", 18.0 + 0.0001 * (i + 1))},
+                 {"format", formats[pair % 3]}});
+            QueryObs q = timedQuery(client, req, format("query:%zu", i),
+                                    "e2e.query");
+            out.noteQuery(q, q.start_ns);
+            if (q.ok) {
+                if (!first.count(pair))
+                    first[pair] = {req, q.reply};
+                last[pair] = {req, q.reply};
+            }
+        }
+        if (g_tracer.on) {
+            out.scraped.add(before, scrape(root), true);
+            out.scraped.addOwn(own_before);
+            addStatusDelta(out, status_before, statusCounters(root));
+            out.wire_floor_ms = measureWireFloor(root);
+        }
+        requireAlive({&root}, out);
+        out.noteRss({&root});
+        stopRoot(root);
     }
     ctx.final_leaves = base;
     ctx.replay_pushes = base;
     out.leaf_bytes = 0;
 
-    std::map<std::string, double> before;
-    std::map<std::string, double> status_before;
-    if (g_tracer.on) {
-        before = scrape(root);
-        status_before = statusCounters(root);
-    }
-    std::map<std::string, double> own_before = ownCounters();
-
-    // Closed loop: one client rotates verb x format; every request
-    // has its own cutoff, so it misses both service caches.
-    const char *verbs[] = {"mix", "report", "fdo"};
-    const char *formats[] = {"text", "csv", "json"};
-    std::map<size_t, std::pair<QueryRequest, QueryReply>> first, last;
-    QueryClient client("127.0.0.1", root.port, 60'000);
-    double end = nowSec() + ctx.seconds;
-    for (size_t i = 0; nowSec() < end; i++) {
-        size_t pair = i % 9;
-        QueryRequest req = makeRequest(
-            verbs[pair / 3],
-            {{"cutoff", format("%.4f", 18.0 + 0.0001 * (i + 1))},
-             {"format", formats[pair % 3]}});
-        QueryObs q = timedQuery(client, req, format("query:%zu", i),
-                                "e2e.query");
-        out.noteQuery(q, q.start_ns);
-        if (q.ok) {
-            if (!first.count(pair))
-                first[pair] = {req, q.reply};
-            last[pair] = {req, q.reply};
-        }
-    }
-    if (g_tracer.on) {
-        out.scraped.add(before, scrape(root), true);
-        out.scraped.addOwn(own_before);
-        addStatusDelta(out, status_before, statusCounters(root));
-        out.wire_floor_ms = measureWireFloor(root);
-    }
-    requireAlive({&root}, out);
-    out.noteRss({&root});
-
+    // Every set-up generates the same shards from the seed, so one
+    // oracle covers the first and the last window.
     OfflineOracle oracle(canonicalMerge(base));
     for (auto *set : {&first, &last})
         for (auto &[pair, rp] : *set)
@@ -1329,7 +1335,6 @@ runQueryCold(Context &ctx)
                     rp.first.param("cutoff").c_str()));
     if (first.size() != 9)
         out.errors.push_back("not every verb/format pair was served");
-    stopRoot(root);
 }
 
 // ---------------------------------------------------------------------
@@ -1811,19 +1816,34 @@ ungatedPushP50(const Outcome &o)
     return {"push_ack_ms_p50", p.value, "ms", p.samples};
 }
 
+/**
+ * Query p50, printed but not gated. On a shared host the machine's
+ * speed switches between a fast and a slow phase every few seconds
+ * (about 1.5x apart), so query latencies are bimodal and their median
+ * lands in whichever phase held more of the run. The slow phase holds
+ * well over a quarter of every run, so p75 and p90 stay inside it and
+ * repeat across runs.
+ */
+Metric
+ungatedQueryP50(const Outcome &o)
+{
+    perfbench::Percentile p = perfbench::percentile(o.query_ms, 0.5);
+    return {"query_ms_p50", p.value, "ms", p.samples};
+}
+
 /** End-to-end metrics of one pass (every workload reports all). */
 std::vector<Metric>
 endToEnd(const Outcome &o)
 {
     perfbench::Percentile p90 = pushAck(o, 0.9);
-    perfbench::Percentile q50 = perfbench::percentile(o.query_ms, 0.5);
+    perfbench::Percentile q75 = perfbench::percentile(o.query_ms, 0.75);
     perfbench::Percentile q90 = perfbench::percentile(o.query_ms, 0.9);
     return {
         {"setup_s", perfbench::median(o.setup_s), "s", o.setup_s.size()},
         {"ingest_mb_per_s", perfbench::median(o.ingest_mb_s), "MB/s",
          o.ingest_mb_s.size()},
         {"push_ack_ms_p90", p90.value, "ms", p90.samples},
-        {"query_ms_p50", q50.value, "ms", q50.samples},
+        {"query_ms_p75", q75.value, "ms", q75.samples},
         {"query_ms_p90", q90.value, "ms", q90.samples},
         {"daemon_rss_mb", perfbench::median(o.rss_mb), "MB",
          o.rss_mb.size()},
@@ -2089,12 +2109,12 @@ perLayer(const Context &ctx, const Outcome &traced, const Outcome &plain,
         query_d.empty() ? 0.0 : ratio(query_base - query_sum, query_base),
         "ratio");
 
-    // Tracing overhead: the traced pass's p50 of the workload's timed
-    // operation (pushes on ingest_tree, queries elsewhere) against the
-    // untraced pass's.
+    // Tracing overhead: the traced pass's figure for the workload's
+    // timed operation (push p50 on ingest_tree, query p75 elsewhere)
+    // against the untraced pass's.
     auto primary = [&](const Outcome &o) {
         return ctx.replay_relays ? pushAck(o, 0.5).value
-                                 : perfbench::percentile(o.query_ms, 0.5)
+                                 : perfbench::percentile(o.query_ms, 0.75)
                                        .value;
     };
     add("trace.overhead_pct",
@@ -2278,7 +2298,8 @@ realMain(int argc, char **argv)
     } else {
         metrics = endToEnd(plain->out);
         printMetrics("end-to-end:", metrics);
-        printMetrics("not gated:", {ungatedPushP50(plain->out)});
+        printMetrics("not gated:", {ungatedPushP50(plain->out),
+                                    ungatedQueryP50(plain->out)});
     }
 
     std::vector<std::string> errors = plain->out.errors;
