@@ -33,7 +33,7 @@
 #include "fleet/manifest.hh"
 #include "fleet/merge.hh"
 #include "fleet/metrics.hh"
-#include "fleet/relay.hh"
+#include "fleet/node.hh"
 #include "fleet/shard.hh"
 #include "fleet/transport.hh"
 #include "support/telemetry.hh"
@@ -317,20 +317,20 @@ main(int argc, char **argv)
             lo.expect = n_hosts; // Covered leaves, via the relays.
             std::thread server([&] { root.serve(agg, lo); });
 
-            std::vector<std::unique_ptr<RelayNode>> relays;
+            std::vector<std::unique_ptr<FleetNode>> relays;
             std::vector<std::thread> relay_threads;
             for (size_t r = 0; r < kRelays; r++) {
-                RelayOptions ro;
+                FleetNodeOptions ro;
                 ro.upstream_port = root.port();
-                ro.relay_id = format("relay%zu", r);
+                ro.id = format("relay%zu", r);
                 // Each relay serves its slice of the fleet.
                 ro.expect = n_hosts / kRelays +
                             (r < n_hosts % kRelays ? 1 : 0);
-                relays.push_back(std::make_unique<RelayNode>(ro));
+                relays.push_back(std::make_unique<FleetNode>(ro));
             }
             for (size_t r = 0; r < kRelays; r++)
                 relay_threads.emplace_back([&, r] {
-                    RelayStats rs = relays[r]->run();
+                    FleetNodeStats rs = relays[r]->run();
                     if (!rs.upstream_ok)
                         fatal("relay flush failed: %s",
                               rs.error.c_str());

@@ -150,19 +150,10 @@ class ProfileStore
                           const ProfileData &profile) const;
 
     /**
-     * insertByChecksum() from already-serialized bytes on disk: copy
-     * the profile file at @p src_path into the store. For callers
-     * that verified the bytes elsewhere (the aggregation import path)
-     * and should not pay a re-parse + re-serialize just to deposit
-     * them.
-     */
-    bool depositFileByChecksum(uint64_t checksum,
-                               const std::string &src_path) const;
-
-    /**
      * insertByChecksum() from already-serialized bytes in memory —
-     * the zero-copy deposit for transport chunks that arrived as
-     * exact profile-file bytes.
+     * the zero-copy deposit for transport chunks and drop-directory
+     * files that arrived as exact, already verified profile-file
+     * bytes, so they skip a re-parse + re-serialize.
      */
     bool depositBytesByChecksum(uint64_t checksum,
                                 std::string_view bytes) const;
@@ -279,7 +270,7 @@ class ProfileStore
     /** Put/erase records, applied to memory and appended (locked). */
     void recordPut(Kind kind, uint64_t id, const IndexEntry &e) const;
     void recordErase(Kind kind, uint64_t id) const;
-    /** Shared deposit path for the three ByChecksum writers. */
+    /** Shared deposit path for the two ByChecksum writers. */
     bool depositLocked(uint64_t checksum,
                        const std::function<void(const std::string &)>
                            &write_to) const;

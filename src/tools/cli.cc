@@ -16,18 +16,11 @@
  *                     --export-dir DIR) [--seq N] [--chunks N]
  *                     [--retries N] [--jobs N] [-o <profile>]
  *   hbbp-tool aggregate (--watch-dir DIR | --listen PORT)
- *                     [-o <profile>] [--expect N] [--timeout-ms N]
- *                     [--analyze <workload>] [--store DIR]
- *                     [--state FILE] [--port-file FILE]
- *                     [--journal-every N]
+ *                     [-o <profile>] [--analyze <workload>]
+ *                     [daemon options]
  *   hbbp-tool relay   --listen PORT --to HOST:PORT [--relay-id ID]
- *                     [--flush-every N] [--expect N] [--timeout-ms N]
- *                     [--state FILE] [--journal-every N] [--retries N]
- *                     [--bind ADDR] [--port-file FILE] [--store DIR]
- *   hbbp-tool serve   --listen PORT [--state FILE] [--expect N]
- *                     [--timeout-ms N] [--bind ADDR] [--port-file FILE]
- *                     [--metrics-port N] [--journal-every N]
- *                     [--store DIR]
+ *                     [--flush-every N] [--retries N] [daemon options]
+ *   hbbp-tool serve   --listen PORT [daemon options]
  *   hbbp-tool query   --from HOST:PORT <verb> [--host H] [options]
  *   hbbp-tool store   gc --store DIR [--max-age-s N] [--max-bytes N]
  *   hbbp-tool store   (stat|verify|rebuild-index) --store DIR
@@ -45,13 +38,19 @@
  * query, and --format text|csv|json renders any analysis view
  * uniformly (--csv remains an alias for --format csv).
  *
- * serve is the query-serving daemon: it co-hosts a shard listener
- * (collectors keep pushing to the same port) and the hbbp-query/1
- * endpoint, answering mix/report/fdo/hosts/status queries over the
- * live aggregate with per-epoch result caching. query is the matching
+ * The three daemons are one FleetNode (fleet/node.hh) each, and share
+ * the daemon options (--bind/--port-file/--state/--store/--expect/
+ * --timeout-ms/--metrics-port/--metrics-port-file/--trace-log/
+ * --event-log/--stall-warn-s). Every listening daemon co-hosts the
+ * shard listener (collectors keep pushing to the same port) and the
+ * hbbp-query/1 endpoint, answering mix/report/fdo/hosts/status
+ * queries over the aggregate it holds with per-epoch result caching;
+ * a `shutdown` verb ends its loop deterministically (a relay still
+ * pushes its final flush). aggregate ends at --expect or the idle
+ * timeout and writes -o; relay pushes its partial aggregate to --to;
+ * serve is the root that runs until shutdown. query is the matching
  * client; its stdout carries exactly the bytes offline analyze/report
- * would print, with `epoch=N cached=K` metadata on stderr. A
- * `shutdown` verb stops the daemon deterministically.
+ * would print, with `epoch=N cached=K` metadata on stderr.
  */
 
 #include <unistd.h>
@@ -71,12 +70,11 @@
 #include "analysis/service.hh"
 #include "fleet/aggregate.hh"
 #include "fleet/batch.hh"
-#include "fleet/journal.hh"
 #include "fleet/manifest.hh"
 #include "fleet/merge.hh"
 #include "fleet/metrics.hh"
+#include "fleet/node.hh"
 #include "fleet/query.hh"
-#include "fleet/relay.hh"
 #include "fleet/shard.hh"
 #include "fleet/socket_client.hh"
 #include "fleet/store.hh"
@@ -116,23 +114,22 @@ usage()
                  "[--jobs N] [-o <profile>]\n"
                  "       hbbp-tool aggregate (--watch-dir DIR | "
                  "--listen PORT) [-o <profile>]\n"
-                 "                 [--expect N] [--timeout-ms N] "
-                 "[--analyze <workload>] [--store DIR]\n"
-                 "                 [--state FILE] [--port-file FILE] "
-                 "[--bind ADDR] [--journal-every N]\n"
+                 "                 [--analyze <workload>] "
+                 "[daemon options]\n"
                  "       hbbp-tool relay --listen PORT --to HOST:PORT "
                  "[--relay-id ID]\n"
-                 "                 [--flush-every N] [--expect N] "
-                 "[--timeout-ms N] [--state FILE]\n"
-                 "                 [--journal-every N] [--retries N] "
-                 "[--bind ADDR] [--port-file FILE] [--store DIR]\n"
-                 "       hbbp-tool serve --listen PORT [--state FILE] "
-                 "[--expect N] [--timeout-ms N]\n"
-                 "                 [--bind ADDR] [--port-file FILE] "
-                 "[--metrics-port N] [--journal-every N] "
-                 "[--store DIR]\n"
-                 "       (daemons also take --trace-log FILE "
-                 "--event-log FILE --stall-warn-s N)\n"
+                 "                 [--flush-every N] [--retries N] "
+                 "[daemon options]\n"
+                 "       hbbp-tool serve --listen PORT "
+                 "[daemon options]\n"
+                 "       (daemon options: [--bind ADDR] "
+                 "[--port-file FILE] [--state FILE]\n"
+                 "                 [--store DIR] [--expect N] "
+                 "[--timeout-ms N] [--metrics-port N]\n"
+                 "                 [--metrics-port-file FILE] "
+                 "[--trace-log FILE] [--event-log FILE]\n"
+                 "                 [--stall-warn-s N]; listening "
+                 "daemons answer query)\n"
                  "       hbbp-tool query --from HOST:PORT "
                  "<mix|report|fdo|hosts|status|shutdown>\n"
                  "                 [--host ID] [--format text|csv|json] "
@@ -481,11 +478,57 @@ cmdPush(const PushOptions &opts)
 }
 
 /**
+ * The FleetNode settings every daemon takes from its shared flags,
+ * plus its observability hooks: the federator its arrivals register
+ * children with and the metrics endpoint a relay advertises upstream.
+ */
+FleetNodeOptions
+nodeOptions(const DaemonOptions &d, std::string id,
+            const Observability &obs)
+{
+    FleetNodeOptions no;
+    no.id = std::move(id);
+    no.listen_port = static_cast<uint16_t>(std::max(d.listen_port, 0));
+    no.bind_addr = d.bind_addr;
+    no.expect = d.expect;
+    no.idle_timeout_ms = d.timeout_ms;
+    no.state_file = d.state_file;
+    no.store_dir = d.store_dir;
+    no.trace_log = d.trace_log;
+    no.metrics_endpoint = obs.endpoint;
+    no.federator = obs.federator.get();
+    return no;
+}
+
+/** Print a daemon's listening line and write its --port-file. */
+void
+announce(const DaemonOptions &d, const std::string &line, uint16_t port)
+{
+    std::printf("%s\n", line.c_str());
+    std::fflush(stdout);
+    if (!d.port_file.empty())
+        writeFileAtomically(d.port_file, format("%u\n", port));
+}
+
+/** The root daemons' restart report (a relay's is its summary). */
+void
+reportRestored(const DaemonOptions &d, FleetNode &node)
+{
+    IncrementalAggregator &agg = node.aggregator();
+    if (agg.restoredShards() > 0)
+        std::printf("restored aggregator state from %s: "
+                    "%zu shard%s across %zu host%s\n",
+                    d.state_file.c_str(), agg.restoredShards(),
+                    agg.restoredShards() == 1 ? "" : "s",
+                    agg.hostCount(), agg.hostCount() == 1 ? "" : "s");
+}
+
+/**
  * The central aggregation side: fold shards from N hosts as they
- * arrive — polled out of a drop directory or pushed to a listening
- * socket — optionally re-analyzing per arrival, checkpointing
- * restorable state per arrival, and persisting the canonical
- * aggregate.
+ * arrive — polled out of a drop directory, or pushed to a listening
+ * socket that also answers queries — optionally re-analyzing per
+ * arrival, journaling restorable state per arrival, and persisting
+ * the canonical aggregate.
  */
 int
 cmdAggregate(const AggregateOptions &opts)
@@ -497,147 +540,22 @@ cmdAggregate(const AggregateOptions &opts)
               "--listen <port>");
 
     std::unique_ptr<Observability> obs = startObservability(d, "root");
-    telemetry::TraceLog trace;
-    trace.open(d.trace_log, "root");
-
-    std::optional<ProfileStore> central;
-    std::optional<StorePin> pin;
-    if (!opts.store_dir.empty()) {
-        central.emplace(opts.store_dir);
-        // The pin owner must be stable across a SIGKILL + restart of
-        // the same job so a restarted aggregator inherits (and can
-        // release) its crashed predecessor's pins. The state file is
-        // that identity; stateless runs fall back to the store path.
-        pin.emplace(*central,
-                    format("agg-%016llx",
-                           static_cast<unsigned long long>(fnv1a(
-                               d.state_file.empty() ? opts.store_dir
-                                                    : d.state_file))));
-    }
-
-    std::optional<Workload> aw;
-    if (!opts.analyze_workload.empty())
-        aw = requireWorkloadByName(opts.analyze_workload);
-    Analyzer analyzer;
-
-    IncrementalAggregator agg;
-    std::optional<StateJournal> journal;
-    if (!d.state_file.empty() && d.journal_every > 0)
-        journal.emplace(d.state_file, d.journal_every);
-    if (restoreAggregatorState(agg, journal, d.state_file) > 0)
-        std::printf("restored aggregator state from %s: "
-                    "%zu shard%s across %zu host%s\n",
-                    d.state_file.c_str(), agg.restoredShards(),
-                    agg.restoredShards() == 1 ? "" : "s",
-                    agg.hostCount(),
-                    agg.hostCount() == 1 ? "" : "s");
-    // Whatever the previous run pinned is either in the restored
-    // state (durable) or was never acknowledged (its sender retries,
-    // re-pinning on redelivery) — safe to release either way, and
-    // leaking pins forever would quietly exempt entries from gc.
-    if (pin && pin->restored() > 0) {
+    FleetNodeOptions no = nodeOptions(d, "root", *obs);
+    no.watch_dir = opts.watch_dir;
+    no.analyze_workload = opts.analyze_workload;
+    FleetNode node(std::move(no));
+    reportRestored(d, node);
+    size_t inherited = node.stats().inherited_pins;
+    if (inherited > 0)
         std::printf("releasing %zu pin%s inherited from a previous "
-                    "run\n", pin->restored(),
-                    pin->restored() == 1 ? "" : "s");
-        pin->release();
-    }
-    // Persist after every accepted shard (and the per-arrival
-    // analysis/deposit), before the arrival is acknowledged: a killed
-    // aggregator restarted with the same --state resumes from its
-    // partials instead of re-importing the fleet. With journaling
-    // (the default) each accept appends one O(shard) record and the
-    // full checkpoint is rewritten every --journal-every accepts;
-    // --journal-every 0 keeps the PR-4 full rewrite per accept.
-    auto per_accept = [&](const ShardManifest &m,
-                          const ProfileData *profile,
-                          const std::vector<std::string> *chunks) {
-        // The root is the end of a traced shard's life: one root_fold
-        // span per stamped id carried by this arrival closes the
-        // collector -> relay -> root chain.
-        for (const std::string &id : m.trace_ids)
-            trace.span("root_fold", id,
-                       format("from=%s", m.host.c_str()));
-        // Federation discovery rides the shard tree: a child that
-        // advertises a scrape endpoint becomes ours to merge.
-        if (obs->federator && !m.metrics_endpoint.empty())
-            obs->federator->noteChild(m.host, m.metrics_endpoint);
-        if (central) {
-            // Pin BEFORE depositing: from here until this arrival is
-            // durable (journaled below), a concurrent `store gc` must
-            // not evict the shard out from under a crashed restart.
-            pin->pin(m.checksum);
-            if (chunks && chunks->size() == 1)
-                // The chunk already is exact profile-file bytes:
-                // deposit without a re-parse or re-serialize.
-                central->depositBytesByChecksum(m.checksum,
-                                                (*chunks)[0]);
-            else if (profile)
-                central->insertByChecksum(m.checksum, *profile);
-            else
-                central->depositFileByChecksum(
-                    m.checksum, opts.watch_dir + "/" + m.profile_file);
-        }
-        if (aw)
-            agg.analyzeWith(*aw->program, analyzer);
-        if (d.state_file.empty())
-            return;
-        if (journal && chunks) {
-            journal->record(agg, m, *chunks);
-        } else if (journal) {
-            // Watch-dir import: the shard's verified bytes are the
-            // file beside its manifest; journal them as-is. If they
-            // vanished mid-run, fall back to a full checkpoint —
-            // durability must not depend on the drop dir's hygiene.
-            std::string why;
-            std::string bytes = readFileBytes(
-                opts.watch_dir + "/" + m.profile_file, &why);
-            if (why.empty()) {
-                journal->record(agg, m, {std::move(bytes)});
-            } else {
-                warn("cannot journal shard '%s' (%s); writing a full "
-                     "checkpoint instead", m.profile_file.c_str(),
-                     why.c_str());
-                journal->compact(agg);
-            }
-        } else {
-            agg.saveState(d.state_file);
-        }
-        // The arrival is durable (journaled or checkpointed): the
-        // store entry no longer needs crash protection.
-        if (pin)
-            pin->unpin(m.checksum);
-    };
+                    "run\n", inherited, inherited == 1 ? "" : "s");
+    if (listening)
+        announce(d, format("listening on %s:%u", d.bind_addr.c_str(),
+                           node.port()),
+                 node.port());
+    node.run();
 
-    if (listening) {
-        ShardListener listener(
-            static_cast<uint16_t>(d.listen_port), d.bind_addr);
-        std::printf("listening on %s:%u\n", d.bind_addr.c_str(),
-                    listener.port());
-        std::fflush(stdout);
-        if (!d.port_file.empty())
-            writeFileAtomically(d.port_file,
-                                format("%u\n", listener.port()));
-        ListenOptions lo;
-        lo.expect = d.expect;
-        lo.idle_timeout_ms = d.timeout_ms;
-        lo.on_accept = [&](const ShardManifest &m,
-                           const ProfileData &pd,
-                           const std::vector<std::string> &chunks) {
-            per_accept(m, &pd, &chunks);
-        };
-        listener.serve(agg, lo);
-    } else {
-        WatchOptions wo;
-        wo.expect = d.expect;
-        wo.timeout_ms = d.timeout_ms;
-        wo.on_accept = [&](const ShardManifest &m) {
-            // The shard's bytes were already verified during import,
-            // so the deposit copies the file instead of re-parsing it.
-            per_accept(m, nullptr, nullptr);
-        };
-        watchAndAggregate(agg, opts.watch_dir, wo);
-    }
-
+    IncrementalAggregator &agg = node.aggregator();
     const AggregatorStats &st = agg.stats();
     if (d.expect > 0 && agg.coveredShards() < d.expect)
         fatal("no shard for %d ms while waiting for %zu shards via "
@@ -649,10 +567,6 @@ cmdAggregate(const AggregateOptions &opts)
               st.incompatible, st.malformed);
     if (!opts.profile_out.empty())
         agg.aggregate().save(opts.profile_out);
-    // Clean completion: stateless runs kept every deposit pinned
-    // until the aggregate was saved above.
-    if (pin)
-        pin->release();
 
     std::printf("aggregate: accepted=%zu duplicates=%zu "
                 "incompatible=%zu malformed=%zu analyses=%zu "
@@ -672,8 +586,8 @@ cmdAggregate(const AggregateOptions &opts)
 /**
  * A fan-in tree node: serve collectors (or deeper relays) downstream,
  * fold their shards, push the partial aggregate upstream as a
- * first-class shard. The root of the tree is a plain
- * `aggregate --listen`.
+ * first-class shard, and answer queries for the subtree it holds.
+ * The root of the tree is `aggregate --listen` or `serve`.
  */
 int
 cmdRelay(const RelayCliOptions &opts)
@@ -683,12 +597,6 @@ cmdRelay(const RelayCliOptions &opts)
         fatal("relay requires --listen <port>");
     if (opts.to.empty())
         fatal("relay requires --to <host:port>");
-
-    RelayOptions ro;
-    ro.listen_port = static_cast<uint16_t>(d.listen_port);
-    ro.bind_addr = d.bind_addr;
-    parseHostPort(opts.to, "--to", &ro.upstream_host,
-                  &ro.upstream_port);
     // The relay id becomes the upstream manifest's host id: hold it
     // to the same rules as --host, and fail here rather than as a
     // rejection of every flush after collectors were already acked.
@@ -698,34 +606,21 @@ cmdRelay(const RelayCliOptions &opts)
     // Unique by default: two sibling relays sharing one id would also
     // share the upstream's per-(host, seq) staging slot, and their
     // interleaved multi-chunk flushes would clobber each other.
-    ro.relay_id = opts.relay_id.empty()
-                      ? format("relay-%ld", static_cast<long>(::getpid()))
-                      : opts.relay_id;
-    ro.flush_every = opts.flush_every;
-    ro.expect = d.expect;
-    ro.idle_timeout_ms = d.timeout_ms;
-    ro.state_file = d.state_file;
-    ro.journal_every = d.journal_every;
-    ro.upstream_retries = std::max(opts.retries, 1);
-    ro.trace_log = d.trace_log;
-    ro.store_dir = opts.store_dir;
+    std::string id = opts.relay_id.empty()
+                         ? format("relay-%ld", static_cast<long>(::getpid()))
+                         : opts.relay_id;
 
-    std::unique_ptr<Observability> obs =
-        startObservability(d, ro.relay_id);
-    // The relay is both a federation child (it advertises its own
-    // scrape endpoint on every flushed aggregate) and a parent (its
-    // federator scrapes whatever its downstream advertises).
-    ro.metrics_endpoint = obs->endpoint;
-    ro.federator = obs->federator.get();
-    RelayNode relay(std::move(ro));
-    std::printf("relaying %s:%u -> %s\n", d.bind_addr.c_str(),
-                relay.port(), opts.to.c_str());
-    std::fflush(stdout);
-    if (!d.port_file.empty())
-        writeFileAtomically(d.port_file,
-                            format("%u\n", relay.port()));
+    std::unique_ptr<Observability> obs = startObservability(d, id);
+    FleetNodeOptions no = nodeOptions(d, id, *obs);
+    parseHostPort(opts.to, "--to", &no.upstream_host, &no.upstream_port);
+    no.flush_every = opts.flush_every;
+    no.upstream_retries = std::max(opts.retries, 1);
+    FleetNode node(std::move(no));
+    announce(d, format("relaying %s:%u -> %s", d.bind_addr.c_str(),
+                       node.port(), opts.to.c_str()),
+             node.port());
 
-    RelayStats rs = relay.run();
+    FleetNodeStats rs = node.run();
     std::printf("relay: accepted=%zu covered=%zu restored=%zu "
                 "flushes=%zu flush_failures=%zu orphans=%zu "
                 "upstream_ok=%d\n",
@@ -745,14 +640,14 @@ cmdRelay(const RelayCliOptions &opts)
 }
 
 /**
- * The query-serving daemon: one port, two protocols. Collectors push
- * shards exactly as they would to `aggregate --listen`; query clients
- * dial the same port and speak hbbp-query/1. Every accepted shard
- * bumps the aggregator's epoch, invalidating the analysis service's
- * caches, so queries between arrivals are cache hits and queries
- * after an arrival observe the new aggregate. All of it runs on the
- * listener's single poll thread — no locks anywhere near the
- * aggregator.
+ * The query-serving daemon: a root that serves until a `shutdown`
+ * query. Collectors push shards exactly as they would to `aggregate
+ * --listen`; query clients dial the same port and speak hbbp-query/1.
+ * Every accepted shard bumps the aggregator's epoch, invalidating the
+ * analysis service's caches, so queries between arrivals are cache
+ * hits and queries after an arrival observe the new aggregate. All of
+ * it runs on the listener's single poll thread — no locks anywhere
+ * near the aggregator.
  */
 int
 cmdServe(const ServeOptions &opts)
@@ -762,85 +657,15 @@ cmdServe(const ServeOptions &opts)
         fatal("serve requires --listen <port>");
 
     std::unique_ptr<Observability> obs = startObservability(d, "serve");
-    telemetry::TraceLog trace;
-    trace.open(d.trace_log, "serve");
+    FleetNode node(nodeOptions(d, "serve", *obs));
+    reportRestored(d, node);
+    announce(d, format("serving on %s:%u", d.bind_addr.c_str(),
+                       node.port()),
+             node.port());
+    node.run();
 
-    std::optional<ProfileStore> central;
-    std::optional<StorePin> pin;
-    if (!opts.store_dir.empty()) {
-        central.emplace(opts.store_dir);
-        pin.emplace(*central,
-                    format("serve-%016llx",
-                           static_cast<unsigned long long>(fnv1a(
-                               d.state_file.empty() ? opts.store_dir
-                                                    : d.state_file))));
-    }
-
-    IncrementalAggregator agg;
-    std::optional<StateJournal> journal;
-    if (!d.state_file.empty() && d.journal_every > 0)
-        journal.emplace(d.state_file, d.journal_every);
-    if (restoreAggregatorState(agg, journal, d.state_file) > 0)
-        std::printf("restored aggregator state from %s: "
-                    "%zu shard%s across %zu host%s\n",
-                    d.state_file.c_str(), agg.restoredShards(),
-                    agg.restoredShards() == 1 ? "" : "s",
-                    agg.hostCount(),
-                    agg.hostCount() == 1 ? "" : "s");
-    if (pin && pin->restored() > 0)
-        pin->release(); // Durable in the restored state either way.
-
-    AggregatorProfileSource source(agg);
-    AnalysisService service(source, makeWorkloadByName);
-    QueryEndpoint endpoint(service);
-    endpoint.setTraceLog(&trace, "serve");
-
-    ShardListener listener(static_cast<uint16_t>(d.listen_port),
-                           d.bind_addr);
-    std::printf("serving on %s:%u\n", d.bind_addr.c_str(),
-                listener.port());
-    std::fflush(stdout);
-    if (!d.port_file.empty())
-        writeFileAtomically(d.port_file,
-                            format("%u\n", listener.port()));
-
-    ListenOptions lo;
-    lo.expect = d.expect;
-    lo.idle_timeout_ms = d.timeout_ms;
-    lo.on_accept = [&](const ShardManifest &m, const ProfileData &pd,
-                       const std::vector<std::string> &chunks) {
-        for (const std::string &id : m.trace_ids)
-            trace.span("root_fold", id,
-                       format("from=%s", m.host.c_str()));
-        if (obs->federator && !m.metrics_endpoint.empty())
-            obs->federator->noteChild(m.host, m.metrics_endpoint);
-        if (central) {
-            // Same pin-deposit-unpin dance as aggregate: the entry
-            // must outlive any concurrent gc until durable here.
-            pin->pin(m.checksum);
-            if (chunks.size() == 1)
-                central->depositBytesByChecksum(m.checksum, chunks[0]);
-            else
-                central->insertByChecksum(m.checksum, pd);
-        }
-        if (d.state_file.empty())
-            return;
-        if (journal)
-            journal->record(agg, m, chunks);
-        else
-            agg.saveState(d.state_file);
-        if (pin)
-            pin->unpin(m.checksum);
-    };
-    lo.on_query = [&](const std::string &body) {
-        return endpoint.handle(body);
-    };
-    lo.should_stop = [&] { return endpoint.stopRequested(); };
-    listener.serve(agg, lo);
-
-    if (pin)
-        pin->release(); // Clean exit: deposits are plain cache now.
-    const ServiceStats &ss = service.stats();
+    const ServiceStats &ss = node.serviceStats();
+    IncrementalAggregator &agg = node.aggregator();
     const AggregatorStats &st = agg.stats();
     std::printf("serve: accepted=%zu hosts=%zu covered=%zu epoch=%llu "
                 "requests=%llu cache_hits=%llu cache_misses=%llu "

@@ -222,10 +222,10 @@ addDaemonFlags(ArgParser &parser, DaemonOptions *opts)
     parser.value("--bind", &opts->bind_addr);
     parser.value("--port-file", &opts->port_file);
     parser.value("--state", &opts->state_file);
+    parser.value("--store", &opts->store_dir);
     parser.count("--expect", &opts->expect);
     parser.count("--timeout-ms", &opts->timeout_ms,
                  static_cast<uint64_t>(INT_MAX));
-    parser.count("--journal-every", &opts->journal_every);
     parser.count("--metrics-port", &opts->metrics_port, UINT16_MAX);
     parser.value("--metrics-port-file", &opts->metrics_port_file);
     parser.value("--trace-log", &opts->trace_log);
@@ -316,7 +316,6 @@ AggregateOptions::parse(int argc, char **argv)
     p.value("--watch-dir", &opts.watch_dir);
     p.value("-o", &opts.profile_out);
     p.value("--analyze", &opts.analyze_workload);
-    p.value("--store", &opts.store_dir);
     addDaemonFlags(p, &opts.daemon);
     p.run();
     return opts;
@@ -329,7 +328,6 @@ RelayCliOptions::parse(int argc, char **argv)
     ArgParser p(argc, argv, 2);
     p.value("--to", &opts.to);
     p.value("--relay-id", &opts.relay_id);
-    p.value("--store", &opts.store_dir);
     p.count("--flush-every", &opts.flush_every);
     p.count("--retries", &opts.retries,
             static_cast<uint64_t>(INT_MAX));
@@ -427,7 +425,6 @@ ServeOptions::parse(int argc, char **argv)
     // still arms the idle exit when a script wants one.
     opts.daemon.timeout_ms = -1;
     ArgParser p(argc, argv, 2);
-    p.value("--store", &opts.store_dir);
     addDaemonFlags(p, &opts.daemon);
     p.run();
     return opts;

@@ -140,9 +140,9 @@ struct DaemonOptions
     std::string bind_addr = "127.0.0.1";
     std::string port_file;
     std::string state_file;
+    std::string store_dir; ///< Shared profile store to deposit into.
     size_t expect = 0;
     int timeout_ms = 10'000;
-    size_t journal_every = 32;
     int metrics_port = -1; ///< -1 = off.
     std::string metrics_port_file;
     std::string trace_log;
@@ -152,9 +152,14 @@ struct DaemonOptions
     double stall_warn_s = 0.0;
 };
 
-/** Registers --listen/--bind/--port-file/--state/--expect/
- *  --timeout-ms/--journal-every/--metrics-port/--metrics-port-file/
- *  --trace-log/--event-log/--stall-warn-s. */
+/**
+ * Registers --listen/--bind/--port-file/--state/--store/--expect/
+ * --timeout-ms/--metrics-port/--metrics-port-file/--trace-log/
+ * --event-log/--stall-warn-s: every flag the three daemons share,
+ * because each one is a FleetNode (fleet/node.hh) under a different
+ * name. --state always journals (StateJournal's default compaction
+ * threshold); --store deposits every arrival, pinned until durable.
+ */
 void addDaemonFlags(ArgParser &parser, DaemonOptions *opts);
 
 // ---------------------------------------------------------------------------
@@ -220,7 +225,6 @@ struct AggregateOptions
     std::string watch_dir;
     std::string profile_out;
     std::string analyze_workload;
-    std::string store_dir;
     DaemonOptions daemon;
 
     static AggregateOptions parse(int argc, char **argv);
@@ -230,7 +234,6 @@ struct RelayCliOptions
 {
     std::string to;
     std::string relay_id;
-    std::string store_dir;
     size_t flush_every = 0;
     int retries = 5;
     DaemonOptions daemon;
@@ -297,7 +300,6 @@ struct FdoOptions
 
 struct ServeOptions
 {
-    std::string store_dir; ///< Shared profile store to deposit into.
     DaemonOptions daemon; ///< timeout_ms defaults to -1: serve until
                           ///< a shutdown query (or --expect).
 

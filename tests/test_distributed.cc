@@ -753,7 +753,7 @@ TEST(Store, ChecksumAddressedShardsRoundTrip)
     EXPECT_NE(store.pathForChecksum(key.hash()), store.pathFor(key));
 }
 
-TEST(Store, DepositFileCopiesVerifiedBytes)
+TEST(Store, DepositBytesCopiesVerifiedBytes)
 {
     std::string dir = freshDir("deposit");
     ProfileStore store(dir + "/store");
@@ -762,7 +762,7 @@ TEST(Store, DepositFileCopiesVerifiedBytes)
     pd.save(src);
 
     uint64_t checksum = pd.payloadChecksum();
-    store.depositFileByChecksum(checksum, src);
+    store.depositBytesByChecksum(checksum, readFile(src));
     EXPECT_TRUE(store.containsChecksum(checksum));
     EXPECT_EQ(readFile(store.pathForChecksum(checksum)), readFile(src));
 }

@@ -5,7 +5,8 @@
  * AnalysisService facade (per-epoch result caching, invalidation on
  * shard arrival, per-host slices vs the full aggregate), the
  * same-port query endpoint on the shard listener (including
- * concurrent queriers during ingestion), and golden-file coverage of
+ * concurrent queriers during ingestion, and an aggregate root
+ * answering like offline analysis), and golden-file coverage of
  * the text/csv/json renderers.
  */
 
@@ -28,6 +29,7 @@
 #include "fleet/aggregate.hh"
 #include "fleet/manifest.hh"
 #include "fleet/merge.hh"
+#include "fleet/node.hh"
 #include "fleet/query.hh"
 #include "fleet/transport.hh"
 #include "support/bytes.hh"
@@ -463,6 +465,46 @@ TEST(QueryEndpointTest, ServesQueriesAndObservesArrivals)
     EXPECT_NE(reply.error.find("unknown verb"), std::string::npos);
 
     harness.shutdownAndJoin();
+}
+
+TEST(QueryEndpointTest, AggregateRootAnswersMixLikeOffline)
+{
+    // `aggregate --listen` is a FleetNode root like `serve`: its shard
+    // port answers queries with exactly the bytes offline analysis of
+    // the merged shards renders.
+    Workload w = *makeWorkloadByName("test40");
+    ProfileData a = collectHostProfile(w, "hostA");
+    ProfileData b = collectHostProfile(w, "hostB");
+
+    FleetNodeOptions no;
+    no.id = "root";
+    FleetNode root(no);
+    FleetNodeStats rs;
+    std::thread t([&] { rs = root.run(); });
+    pushShard(root.port(), a, "hostA");
+    pushShard(root.port(), b, "hostB");
+
+    QueryClient client("127.0.0.1", root.port());
+    QueryReply reply;
+    std::string why;
+    QueryRequest mix = makeRequest("mix", {{"top", "5"}});
+    EXPECT_TRUE(client.query(mix.renderText(), &reply, &why)) << why;
+    EXPECT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(reply.epoch, 2u);
+    std::string served = reply.payload;
+    EXPECT_TRUE(client.query(makeRequest("shutdown").renderText(),
+                             &reply, &why))
+        << why;
+    t.join();
+
+    std::vector<ProfileData> both = {a, b};
+    FixedProfileSource merged(mergeProfiles(both), "test40");
+    AnalysisService offline(merged, makeWorkloadByName);
+    QueryResult direct = offline.serve(mix);
+    ASSERT_TRUE(direct.error.empty()) << direct.error;
+    EXPECT_EQ(served, direct.render(RenderFormat::Text));
+    EXPECT_EQ(rs.accepted, 2u);
+    EXPECT_TRUE(rs.upstream_ok);
 }
 
 TEST(QueryEndpointTest, ListenerWithoutHandlerRefusesQueries)

@@ -3,7 +3,7 @@
  * Tests for hierarchical relay aggregation: the version-2 aggregate
  * manifest (level + covered hosts), the per-host supersede fold that
  * keeps any fan-in tree byte-identical to flat aggregation, the
- * RelayNode itself (flush cadence, upstream buffering and retry,
+ * FleetNode itself (flush cadence, upstream buffering and retry,
  * crash/restart resume, orphan forwarding), and the incremental state
  * journal that replaces the O(aggregate) per-accept checkpoint.
  */
@@ -20,9 +20,12 @@
 #include "fleet/journal.hh"
 #include "fleet/manifest.hh"
 #include "fleet/merge.hh"
-#include "fleet/relay.hh"
+#include "fleet/node.hh"
+#include "fleet/query.hh"
+#include "fleet/store.hh"
 #include "fleet/transport.hh"
 #include "support/bytes.hh"
+#include "support/telemetry.hh"
 
 namespace fs = std::filesystem;
 
@@ -181,11 +184,11 @@ fastOptions(uint16_t port, int attempts = 5)
     return so;
 }
 
-/** RelayOptions tuned for tests: fast retries, loopback upstream. */
-RelayOptions
+/** FleetNodeOptions tuned for tests: fast retries, loopback upstream. */
+FleetNodeOptions
 fastRelayOptions(uint16_t upstream_port, size_t expect)
 {
-    RelayOptions ro;
+    FleetNodeOptions ro;
     ro.upstream_port = upstream_port;
     ro.expect = expect;
     ro.idle_timeout_ms = 10'000;
@@ -614,7 +617,7 @@ TEST(AggregateFold, StateRoundTripCarriesRelayFields)
 }
 
 // ---------------------------------------------------------------------------
-// RelayNode end to end (in-process trees).
+// FleetNode end to end (in-process trees).
 // ---------------------------------------------------------------------------
 
 /** Push @p leaf to @p port, asserting delivery. */
@@ -638,12 +641,12 @@ TEST(RelayNode, DepthTwoTreeIsByteIdenticalToFlatIngestion)
     lo.expect = 4; // Four *covered* leaves via two aggregate arrivals.
     root.start(lo);
 
-    RelayOptions ro1 = fastRelayOptions(root.listener.port(), 2);
-    ro1.relay_id = "relay1";
-    RelayOptions ro2 = fastRelayOptions(root.listener.port(), 2);
-    ro2.relay_id = "relay2";
-    RelayNode relay1(ro1), relay2(ro2);
-    RelayStats rs1, rs2;
+    FleetNodeOptions ro1 = fastRelayOptions(root.listener.port(), 2);
+    ro1.id = "relay1";
+    FleetNodeOptions ro2 = fastRelayOptions(root.listener.port(), 2);
+    ro2.id = "relay2";
+    FleetNode relay1(ro1), relay2(ro2);
+    FleetNodeStats rs1, rs2;
     std::thread t1([&] { rs1 = relay1.run(); });
     std::thread t2([&] { rs2 = relay2.run(); });
 
@@ -676,10 +679,10 @@ TEST(RelayNode, FlushEveryStreamsGrowingCoverage)
     lo.expect = 3;
     root.start(lo);
 
-    RelayOptions ro = fastRelayOptions(root.listener.port(), 3);
+    FleetNodeOptions ro = fastRelayOptions(root.listener.port(), 3);
     ro.flush_every = 1; // Every arrival goes upstream immediately.
-    RelayNode relay(ro);
-    RelayStats rs;
+    FleetNode relay(ro);
+    FleetNodeStats rs;
     std::thread t([&] { rs = relay.run(); });
     for (const LeafShard &leaf : leaves)
         pushLeaf(leaf, relay.port());
@@ -706,13 +709,13 @@ TEST(RelayNode, BuffersAndRetriesWhenUpstreamIsUnreachable)
                                      makeLeaf("hostB", 0, 2)};
     std::string flat = flatAggregateBytes(leaves);
 
-    RelayOptions ro = fastRelayOptions(closedPort(), 2);
+    FleetNodeOptions ro = fastRelayOptions(closedPort(), 2);
     ro.flush_every = 1; // Exercise mid-run flush failures too.
     ro.upstream_retries = 2;
     ro.state_file = dir + "/relay.state";
-    RelayStats rs;
+    FleetNodeStats rs;
     {
-        RelayNode relay(ro);
+        FleetNode relay(ro);
         std::thread t([&] { rs = relay.run(); });
         for (const LeafShard &leaf : leaves)
             pushLeaf(leaf, relay.port()); // Acked despite dead upstream.
@@ -728,10 +731,10 @@ TEST(RelayNode, BuffersAndRetriesWhenUpstreamIsUnreachable)
     ListenOptions lo;
     lo.expect = 2;
     root.start(lo);
-    RelayOptions ro2 = fastRelayOptions(root.listener.port(), 2);
+    FleetNodeOptions ro2 = fastRelayOptions(root.listener.port(), 2);
     ro2.state_file = ro.state_file;
-    RelayNode relay2(ro2);
-    RelayStats rs2 = relay2.run(); // Coverage restored => serves 0 new.
+    FleetNode relay2(ro2);
+    FleetNodeStats rs2 = relay2.run(); // Coverage restored => serves 0 new.
     root.join();
 
     EXPECT_TRUE(rs2.upstream_ok) << rs2.error;
@@ -758,10 +761,10 @@ TEST(RelayNode, KilledRelayResumesFromStateAndRootBytesMatch)
     root.start(lo);
 
     // relay2 handles C and D normally, concurrently with the drama.
-    RelayOptions ro2 = fastRelayOptions(root.listener.port(), 2);
-    ro2.relay_id = "relay2";
-    RelayNode relay2(ro2);
-    RelayStats rs2;
+    FleetNodeOptions ro2 = fastRelayOptions(root.listener.port(), 2);
+    ro2.id = "relay2";
+    FleetNode relay2(ro2);
+    FleetNodeStats rs2;
     std::thread t2([&] { rs2 = relay2.run(); });
     pushLeaf(leaves[2], relay2.port());
     pushLeaf(leaves[3], relay2.port());
@@ -769,13 +772,13 @@ TEST(RelayNode, KilledRelayResumesFromStateAndRootBytesMatch)
     // relay1 accepts hostA (journaled per accept), then "crashes":
     // expect=1 makes run() return after one shard, and we drop the
     // node before anything else — its only survivor is the state.
-    RelayOptions ro1 = fastRelayOptions(closedPort(), 1);
-    ro1.relay_id = "relay1";
+    FleetNodeOptions ro1 = fastRelayOptions(closedPort(), 1);
+    ro1.id = "relay1";
     ro1.state_file = dir + "/relay1.state";
     ro1.upstream_retries = 1;
     {
-        RelayNode relay1(ro1);
-        RelayStats rs1;
+        FleetNode relay1(ro1);
+        FleetNodeStats rs1;
         std::thread t1([&] { rs1 = relay1.run(); });
         pushLeaf(leaves[0], relay1.port());
         t1.join();
@@ -783,11 +786,11 @@ TEST(RelayNode, KilledRelayResumesFromStateAndRootBytesMatch)
     }
 
     // The restarted relay1 resumes from state and takes hostB.
-    RelayOptions ro1b = fastRelayOptions(root.listener.port(), 2);
-    ro1b.relay_id = "relay1";
+    FleetNodeOptions ro1b = fastRelayOptions(root.listener.port(), 2);
+    ro1b.id = "relay1";
     ro1b.state_file = ro1.state_file;
-    RelayNode relay1b(ro1b);
-    RelayStats rs1b;
+    FleetNode relay1b(ro1b);
+    FleetNodeStats rs1b;
     std::thread t1b([&] { rs1b = relay1b.run(); });
     pushLeaf(leaves[1], relay1b.port());
     t1b.join();
@@ -847,9 +850,9 @@ TEST(RelayNode, ForwardsGapStrandedOrphansVerbatim)
     lo.expect = 2;
     root.start(lo);
 
-    RelayOptions ro = fastRelayOptions(root.listener.port(), 2);
-    RelayNode relay(ro);
-    RelayStats rs;
+    FleetNodeOptions ro = fastRelayOptions(root.listener.port(), 2);
+    FleetNode relay(ro);
+    FleetNodeStats rs;
     std::thread t([&] { rs = relay.run(); });
     pushLeaf(normal, relay.port());
     pushLeaf(straggler, relay.port());
@@ -861,6 +864,126 @@ TEST(RelayNode, ForwardsGapStrandedOrphansVerbatim)
     EXPECT_EQ(root.agg.coveredShards(), 2u);
     EXPECT_EQ(root.agg.aggregate().serialize(),
               flat.aggregate().serialize());
+}
+
+TEST(RelayNode, OrphanForwardFailuresCountInTheMetric)
+{
+    // The relay holds nothing but a gap-stranded leaf (seq 1, no seq
+    // 0), so every flush is an orphan forward, and the upstream is
+    // gone: each give-up must show in the live metric exactly as it
+    // does in the run's stats.
+    telemetry::Counter &failures =
+        telemetry::counter("hbbp_relay_flush_failures_total");
+    uint64_t before = failures.value();
+
+    FleetNodeOptions ro = fastRelayOptions(closedPort(), 1);
+    ro.flush_every = 1;
+    ro.upstream_retries = 1;
+    FleetNode relay(ro);
+    FleetNodeStats rs;
+    std::thread t([&] { rs = relay.run(); });
+    pushLeaf(makeLeaf("hostA", 1, 7), relay.port());
+    t.join();
+
+    EXPECT_FALSE(rs.upstream_ok);
+    EXPECT_EQ(rs.orphans_forwarded, 0u);
+    EXPECT_GE(rs.flush_failures, 1u);
+    EXPECT_EQ(failures.value() - before, rs.flush_failures);
+}
+
+TEST(RelayNode, AnswersQueriesForItsSubtreeAndStopsOnShutdown)
+{
+    std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
+                                     makeLeaf("hostB", 0, 2)};
+    std::string flat = flatAggregateBytes(leaves);
+
+    RootHarness root;
+    ListenOptions lo;
+    lo.expect = 2;
+    root.start(lo);
+
+    // No expect: only the shutdown query ends the relay's loop.
+    FleetNodeOptions ro = fastRelayOptions(root.listener.port(), 0);
+    ro.id = "relay1";
+    FleetNode relay(ro);
+    FleetNodeStats rs;
+    std::thread t([&] { rs = relay.run(); });
+    for (const LeafShard &leaf : leaves)
+        pushLeaf(leaf, relay.port());
+
+    QueryClient client("127.0.0.1", relay.port());
+    QueryReply reply;
+    std::string why;
+    QueryRequest hosts;
+    hosts.verb = "hosts";
+    hosts.params["format"] = "csv";
+    EXPECT_TRUE(client.query(hosts.renderText(), &reply, &why)) << why;
+    EXPECT_TRUE(reply.ok) << reply.error;
+    EXPECT_NE(reply.payload.find("hostA,1,0"), std::string::npos);
+    EXPECT_NE(reply.payload.find("hostB,1,0"), std::string::npos);
+    QueryRequest status;
+    status.verb = "status";
+    EXPECT_TRUE(client.query(status.renderText(), &reply, &why)) << why;
+    EXPECT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(reply.epoch, 2u);
+    EXPECT_NE(reply.payload.find("hosts=2"), std::string::npos);
+    QueryRequest shutdown;
+    shutdown.verb = "shutdown";
+    EXPECT_TRUE(client.query(shutdown.renderText(), &reply, &why))
+        << why;
+    EXPECT_TRUE(reply.ok);
+    t.join();
+    root.join();
+
+    // The shutdown still ran the final flush.
+    EXPECT_TRUE(rs.upstream_ok) << rs.error;
+    EXPECT_EQ(rs.accepted, 2u);
+    EXPECT_EQ(rs.flushes, 1u);
+    EXPECT_EQ(root.agg.aggregate().serialize(), flat);
+}
+
+TEST(FleetNodeWatch, VanishedShardFileCheckpointsInsteadOfDepositing)
+{
+    // A drop-directory shard whose file is gone by the time its
+    // arrival is committed: with a store and a state, the node warns,
+    // skips the deposit and writes a full checkpoint — it must not
+    // die, and the arrival must still be durable.
+    std::string dir = freshDir("vanished");
+    std::string drop = dir + "/drop";
+    fs::create_directories(drop);
+    LeafShard leaf = makeLeaf("hostA", 0, 1);
+    ShardManifest exported;
+    std::string manifest_path =
+        exportShard(leaf.profile, "hostA", "test40", 0, 0x1234, drop,
+                    &exported);
+
+    FleetNodeOptions no;
+    no.id = "root";
+    no.watch_dir = drop;
+    no.state_file = dir + "/agg.state";
+    no.store_dir = dir + "/store";
+    std::string expected;
+    {
+        FleetNode node(no);
+        std::string why;
+        std::optional<ShardManifest> m =
+            node.aggregator().importFile(manifest_path, &why);
+        ASSERT_TRUE(m.has_value()) << why;
+        fs::remove(drop + "/" + m->profile_file);
+        node.commitImport(*m);
+        expected = node.aggregator().aggregate().serialize();
+    }
+
+    EXPECT_FALSE(ProfileStore(no.store_dir)
+                     .containsChecksum(exported.checksum));
+    EXPECT_TRUE(fs::exists(no.state_file));
+    IncrementalAggregator restored;
+    StateJournal journal(no.state_file);
+    std::string why;
+    ASSERT_TRUE(journal.restore(restored, &why)) << why;
+    EXPECT_EQ(journal.replayedRecords(), 0u);
+    EXPECT_EQ(restored.restoredShards(), 1u);
+    EXPECT_EQ(restored.aggregate().serialize(), expected);
 }
 
 // ---------------------------------------------------------------------------
