@@ -15,17 +15,20 @@
  *    scalar backend's bytes exactly (the bit-stability contract; the
  *    bench fatal()s if it ever goes false).
  *
- * plus the dispatch backend the process actually resolved at startup
- * and simd_speedup (scalar kernel time over the best SIMD kernel
- * time). scripts/check_bench.py gates committed BENCH_scale_*.json
- * baselines against fresh runs of these numbers.
+ * plus the machine (nproc and the /proc/cpuinfo CPU model), the
+ * dispatch backend the process actually resolved at startup and
+ * simd_speedup (scalar kernel time over the best SIMD kernel time).
+ * scripts/check_bench.py gates committed BENCH_scale_*.json baselines
+ * against fresh runs of these numbers.
  */
 
 #ifndef HBBP_BENCH_FOLDBENCH_HH
 #define HBBP_BENCH_FOLDBENCH_HH
 
 #include <chrono>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fleet/merge.hh"
@@ -65,6 +68,23 @@ foldSecondsSince(std::chrono::steady_clock::time_point start)
     using namespace std::chrono;
     return duration_cast<duration<double>>(steady_clock::now() - start)
         .count();
+}
+
+/** The CPU model from /proc/cpuinfo, or "unknown" where there is none. */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        size_t colon = line.find(':');
+        if (!startsWith(line, "model name") || colon == std::string::npos)
+            continue;
+        size_t first = line.find_first_not_of(" \t", colon + 1);
+        if (first != std::string::npos)
+            return line.substr(first);
+    }
+    return "unknown";
 }
 
 /** One fold pass over the kernel spans; returns a value the optimizer
@@ -171,7 +191,11 @@ inline std::string
 foldBenchJson(const FoldBench &fb)
 {
     std::string out;
-    out += format("\"vector_backend\": \"%s\",\n", fb.dispatch.c_str());
+    out += format("\"nproc\": %u,\n",
+                  std::thread::hardware_concurrency());
+    out += format("  \"cpu\": \"%s\",\n",
+                  jsonEscape(detail::cpuModel()).c_str());
+    out += format("  \"vector_backend\": \"%s\",\n", fb.dispatch.c_str());
     out += "  \"fold\": {\n";
     out += format("    \"kernel_span\": %zu,\n", fb.kernel_span);
     out += format("    \"shards\": %zu,\n", fb.shards);

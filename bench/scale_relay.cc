@@ -287,14 +287,16 @@ main(int argc, char **argv)
                 fatal("push failed: %s", res.error.c_str());
         };
 
-        // Flat: every host dials the root.
-        auto start = std::chrono::steady_clock::now();
+        // Flat: every host dials the root. Each topology's timer runs
+        // from "listeners up" to "root done": daemon set-up and the
+        // reference check stay outside it.
         {
             IncrementalAggregator agg;
             ShardListener listener(0);
             ListenOptions lo;
             lo.expect = n_hosts;
             std::thread server([&] { listener.serve(agg, lo); });
+            auto start = std::chrono::steady_clock::now();
             std::vector<std::thread> senders;
             for (size_t h = 0; h < n_hosts; h++)
                 senders.emplace_back(
@@ -302,14 +304,13 @@ main(int argc, char **argv)
             for (std::thread &t : senders)
                 t.join();
             server.join();
+            p.flat_seconds = secondsSince(start);
             p.root_arrivals_flat = agg.stats().accepted;
             if (!(agg.aggregate() == reference))
                 fatal("flat aggregate disagrees at %zu hosts", n_hosts);
         }
-        p.flat_seconds = secondsSince(start);
 
         // Tree: hosts split across relays, relays push partials up.
-        start = std::chrono::steady_clock::now();
         {
             IncrementalAggregator agg;
             ShardListener root(0);
@@ -335,6 +336,7 @@ main(int argc, char **argv)
                         fatal("relay flush failed: %s",
                               rs.error.c_str());
                 });
+            auto start = std::chrono::steady_clock::now();
             std::vector<std::thread> senders;
             for (size_t h = 0; h < n_hosts; h++)
                 senders.emplace_back([&, h] {
@@ -345,11 +347,11 @@ main(int argc, char **argv)
             for (std::thread &t : relay_threads)
                 t.join();
             server.join();
+            p.tree_seconds = secondsSince(start);
             p.root_arrivals_tree = agg.stats().accepted;
             if (!(agg.aggregate() == reference))
                 fatal("tree aggregate disagrees at %zu hosts", n_hosts);
         }
-        p.tree_seconds = secondsSince(start);
         points.push_back(p);
         fold_manifests = manifests;
         fold_profiles = std::move(profiles);

@@ -1,17 +1,15 @@
 /**
- * Scalar reference kernels and the runtime dispatcher.
+ * The scalar kernel table and the runtime dispatcher.
  *
- * The scalar kernels below are the *definition* of every operation:
- * the SIMD backends must reproduce their bits exactly (see the lane
- * discipline in vectorops.hh). This TU is compiled with
- * -ffp-contract=off like the SIMD TUs, so a host compiler with FMA
- * cannot contract the reference into different roundings.
+ * The scalar table is vectorops_kernels.inc compiled for the baseline
+ * ISA; vectorops_avx2.cc compiles the same source under -mavx2. Both
+ * TUs are built with -ffp-contract=off, so a host compiler with FMA
+ * cannot contract either build into different roundings.
  */
 
 #include "support/vectorops.hh"
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -24,118 +22,7 @@ namespace hbbp {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Scalar reference kernels. Reductions run 8 independent stride-8
-// lanes and fold them with a fixed tree; every backend mirrors this
-// structure so the bits never depend on the dispatch decision.
-// ---------------------------------------------------------------------
-
-double
-reduceLanes(const double lane[8])
-{
-    return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-           ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
-double
-scalarSum(const double *x, size_t n)
-{
-    double lane[8] = {};
-    size_t nb = n & ~static_cast<size_t>(7);
-    for (size_t i = 0; i < nb; i += 8)
-        for (size_t j = 0; j < 8; j++)
-            lane[j] += x[i + j];
-    for (size_t i = nb; i < n; i++)
-        lane[i - nb] += x[i];
-    return reduceLanes(lane);
-}
-
-double
-scalarDot(const double *x, const double *y, size_t n)
-{
-    double lane[8] = {};
-    size_t nb = n & ~static_cast<size_t>(7);
-    for (size_t i = 0; i < nb; i += 8)
-        for (size_t j = 0; j < 8; j++)
-            lane[j] += x[i + j] * y[i + j];
-    for (size_t i = nb; i < n; i++)
-        lane[i - nb] += x[i] * y[i];
-    return reduceLanes(lane);
-}
-
-void
-scalarSaxpy(double *y, double a, const double *x, size_t n)
-{
-    for (size_t i = 0; i < n; i++)
-        y[i] = y[i] + a * x[i];
-}
-
-void
-scalarScale(double *x, double a, size_t n)
-{
-    for (size_t i = 0; i < n; i++)
-        x[i] *= a;
-}
-
-void
-scalarScaledCopy(double *dst, const double *src, double a, size_t n)
-{
-    for (size_t i = 0; i < n; i++)
-        dst[i] = a * src[i];
-}
-
-double
-scalarMax(const double *x, size_t n)
-{
-    double lane[8];
-    for (double &l : lane)
-        l = -HUGE_VAL;
-    size_t nb = n & ~static_cast<size_t>(7);
-    for (size_t i = 0; i < nb; i += 8)
-        for (size_t j = 0; j < 8; j++)
-            lane[j] = lane[j] > x[i + j] ? lane[j] : x[i + j];
-    for (size_t i = nb; i < n; i++)
-        lane[i - nb] = lane[i - nb] > x[i] ? lane[i - nb] : x[i];
-    auto op = [](double u, double v) { return u > v ? u : v; };
-    return op(op(op(lane[0], lane[1]), op(lane[2], lane[3])),
-              op(op(lane[4], lane[5]), op(lane[6], lane[7])));
-}
-
-size_t
-scalarAccumulateSatU64(uint64_t *dst, const uint64_t *src, size_t n)
-{
-    size_t saturated = 0;
-    for (size_t i = 0; i < n; i++) {
-        uint64_t r = dst[i] + src[i];
-        if (r < src[i]) {
-            r = UINT64_MAX;
-            saturated++;
-        }
-        dst[i] = r;
-    }
-    return saturated;
-}
-
-void
-scalarBucketCounts(const uint64_t *x, size_t n, const uint64_t *bounds,
-                   size_t nbounds, uint64_t *counts)
-{
-    uint64_t prev_le = 0;
-    for (size_t b = 0; b < nbounds; b++) {
-        uint64_t le = 0;
-        for (size_t i = 0; i < n; i++)
-            le += x[i] <= bounds[b] ? 1 : 0;
-        counts[b] = le - prev_le;
-        prev_le = le;
-    }
-    counts[nbounds] = n - prev_le;
-}
-
-constexpr VectorOpsTable kScalarTable = {
-    scalarSum,  scalarDot, scalarSaxpy,
-    scalarScale, scalarScaledCopy, scalarMax,
-    scalarAccumulateSatU64, scalarBucketCounts,
-};
+#include "support/vectorops_kernels.inc"
 
 // ---------------------------------------------------------------------
 // Dispatch.
@@ -147,23 +34,10 @@ cpuSupports(VectorBackend backend)
     switch (backend) {
       case VectorBackend::Scalar:
         return true;
+      case VectorBackend::Avx2:
 #if defined(__x86_64__) || defined(__i386__)
-      case VectorBackend::Avx2:
         return __builtin_cpu_supports("avx2") != 0;
-      case VectorBackend::Avx512:
-        return __builtin_cpu_supports("avx512f") != 0;
-      case VectorBackend::Neon:
-        return false;
-#elif defined(__aarch64__)
-      case VectorBackend::Avx2:
-      case VectorBackend::Avx512:
-        return false;
-      case VectorBackend::Neon:
-        return true;
 #else
-      case VectorBackend::Avx2:
-      case VectorBackend::Avx512:
-      case VectorBackend::Neon:
         return false;
 #endif
       default:
@@ -183,34 +57,22 @@ parseBackendName(const char *s, VectorBackend *out)
         *out = VectorBackend::Scalar;
     else if (std::strcmp(s, "avx2") == 0)
         *out = VectorBackend::Avx2;
-    else if (std::strcmp(s, "avx512") == 0)
-        *out = VectorBackend::Avx512;
-    else if (std::strcmp(s, "neon") == 0)
-        *out = VectorBackend::Neon;
     else
         return false;
     return true;
 }
 
 /**
- * Default policy: the widest usable backend — AVX-512, then AVX2,
- * then NEON, then scalar. The BENCH_scale_*.json trajectory shows
- * AVX-512 beating AVX2 on the fold kernels with no frequency cliff on
- * these span lengths, and the bit-stability contract makes the flip
- * results-neutral by construction; check_bench.py's simd_speedup
- * floor guards the preference on every CI runner. Any choice stays
- * one HBBP_VECTOR_BACKEND= away.
+ * Default policy: the -mavx2 build when this CPU can run it, otherwise
+ * the scalar build (on aarch64 that build is already NEON, the
+ * baseline ISA). check_bench.py's simd_speedup floor guards the
+ * preference on every CI runner.
  */
 VectorBackend
 defaultBackend()
 {
-    if (vectorBackendUsable(VectorBackend::Avx512))
-        return VectorBackend::Avx512;
-    if (vectorBackendUsable(VectorBackend::Avx2))
-        return VectorBackend::Avx2;
-    if (vectorBackendUsable(VectorBackend::Neon))
-        return VectorBackend::Neon;
-    return VectorBackend::Scalar;
+    return vectorBackendUsable(VectorBackend::Avx2) ? VectorBackend::Avx2
+                                                    : VectorBackend::Scalar;
 }
 
 void
@@ -221,7 +83,7 @@ initDispatch()
         VectorBackend requested;
         if (!parseBackendName(env, &requested)) {
             warn("HBBP_VECTOR_BACKEND='%s' is not a backend name "
-                 "(scalar|avx2|avx512|neon); using %s",
+                 "(scalar|avx2); using %s",
                  env, name(chosen));
         } else if (!vectorBackendUsable(requested)) {
             warn("HBBP_VECTOR_BACKEND=%s is %s in this build on this "
@@ -256,8 +118,6 @@ name(VectorBackend backend)
     switch (backend) {
       case VectorBackend::Scalar: return "scalar";
       case VectorBackend::Avx2: return "avx2";
-      case VectorBackend::Avx512: return "avx512";
-      case VectorBackend::Neon: return "neon";
       default:
         panic("name: bad VectorBackend %d", static_cast<int>(backend));
     }
@@ -267,10 +127,8 @@ const VectorOpsTable *
 vectorOpsTable(VectorBackend backend)
 {
     switch (backend) {
-      case VectorBackend::Scalar: return &kScalarTable;
+      case VectorBackend::Scalar: return &kKernelTable;
       case VectorBackend::Avx2: return detail::vectorOpsAvx2Table();
-      case VectorBackend::Avx512: return detail::vectorOpsAvx512Table();
-      case VectorBackend::Neon: return detail::vectorOpsNeonTable();
       default: return nullptr;
     }
 }
@@ -291,9 +149,7 @@ std::vector<VectorBackend>
 usableVectorBackends()
 {
     std::vector<VectorBackend> out;
-    for (VectorBackend b :
-         {VectorBackend::Scalar, VectorBackend::Avx2,
-          VectorBackend::Avx512, VectorBackend::Neon})
+    for (VectorBackend b : {VectorBackend::Scalar, VectorBackend::Avx2})
         if (vectorBackendUsable(b))
             out.push_back(b);
     return out;
@@ -359,12 +215,6 @@ void
 scaledCopy(double *dst, const double *src, double a, size_t n)
 {
     activeTable()->scaledCopy(dst, src, a, n);
-}
-
-double
-maxValue(const double *x, size_t n)
-{
-    return activeTable()->maxValue(x, n);
 }
 
 size_t

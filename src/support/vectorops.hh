@@ -5,21 +5,24 @@
  * The fold/merge hot path (per-host partial folds in fleet/merge and
  * fleet/aggregate, the Counter math behind mix analysis) is span
  * arithmetic over doubles and u64 feature counters. This layer gives it
- * one set of kernels — sum / dot / saxpy / scale / scaledCopy / max /
- * saturating-u64-accumulate — with scalar, AVX2 and AVX-512 backends
- * compiled in guarded translation units (vectorops_avx2.cc is built
- * with -mavx2 and compiles to a stub table elsewhere; same for AVX-512
- * and the NEON seam) and selected once at startup by CPUID.
+ * one set of kernels — sum / dot / saxpy / scale / scaledCopy /
+ * saturating-u64-accumulate / bucketCounts — written once, as plain
+ * scalar C++, in vectorops_kernels.inc. That one source is compiled
+ * twice: for the baseline ISA in vectorops.cc (the scalar backend) and
+ * under -mavx2 in vectorops_avx2.cc (the AVX2 backend, a stub table
+ * when the compiler lacks the flag). Dispatch picks one once at
+ * startup by CPUID.
  *
- * Two contracts every backend honors:
+ * Two contracts both builds honor:
  *
- *  1. **Bit stability.** Reductions (sum, dot, max) are defined as
+ *  1. **Bit stability.** Reductions (sum, dot) are defined as
  *     eight independent stride-8 accumulator lanes folded by a fixed
  *     reduction tree, and element-wise kernels perform exactly one
  *     IEEE operation per element (no FMA contraction — the TUs are
- *     built with -ffp-contract=off). Every backend therefore produces
- *     the *same bits* for the same input, so forcing the dispatch is a
- *     test knob, never a results change.
+ *     built with -ffp-contract=off, and nothing licenses
+ *     reassociation). Both builds therefore produce the *same bits*
+ *     for the same input, so forcing the dispatch is a test knob,
+ *     never a results change.
  *
  *  2. **Determinism across platforms.** Callers that sum unordered
  *     containers (Counter<Key>) gather values in sorted-key order
@@ -27,13 +30,11 @@
  *     percentages no longer depend on libstdc++ vs libc++ hash
  *     iteration order.
  *
- * Dispatch policy: AVX2 when the CPU has it, otherwise scalar.
- * AVX-512 is compiled and selectable but *not* preferred by default —
- * on many parts the 512-bit frequency penalty erases the width win for
- * short spans (measure first; the BENCH_scale_*.json trajectory records
- * the dispatch backend for exactly this reason). Override with the
- * HBBP_VECTOR_BACKEND environment variable (scalar | avx2 | avx512 |
- * neon); an unusable request warns once and falls back.
+ * Dispatch policy: AVX2 when it is compiled in and the CPU has it,
+ * otherwise scalar. On aarch64 the scalar build auto-vectorizes to
+ * NEON, that platform's baseline ISA. Override with the
+ * HBBP_VECTOR_BACKEND environment variable (scalar | avx2); an
+ * unusable request warns once and falls back.
  */
 
 #ifndef HBBP_SUPPORT_VECTOROPS_HH
@@ -50,11 +51,9 @@ namespace hbbp {
 enum class VectorBackend : uint8_t {
     Scalar,
     Avx2,
-    Avx512,
-    Neon,
 };
 
-/** Printable name of a backend ("scalar", "avx2", ...). */
+/** Printable name of a backend ("scalar" or "avx2"). */
 const char *name(VectorBackend backend);
 
 /**
@@ -75,12 +74,6 @@ struct VectorOpsTable
     void (*scaledCopy)(double *dst, const double *src, double a,
                        size_t n);
     /**
-     * Largest element under the lanewise rule acc = acc > x ? acc : x
-     * (ties and NaN resolve toward the newer element, matching the
-     * hardware maxpd semantics). -HUGE_VAL when n == 0.
-     */
-    double (*maxValue)(const double *x, size_t n);
-    /**
      * dst[i] = saturatingAdd(dst[i], src[i]): lanes that would wrap
      * past UINT64_MAX clamp there instead. Returns the number of
      * saturated lanes.
@@ -97,8 +90,8 @@ struct VectorOpsTable
      * per-bucket counts taken as adjacent differences — the shape
      * that vectorizes as a wide compare + mask popcount, where the
      * per-value binary search does not. Counts are exact integers,
-     * so every backend is bit-identical by construction; the
-     * property tests assert it anyway.
+     * so both builds are bit-identical by construction; the property
+     * tests assert it anyway.
      */
     void (*bucketCounts)(const uint64_t *x, size_t n,
                          const uint64_t *bounds, size_t nbounds,
@@ -123,8 +116,8 @@ std::vector<VectorBackend> usableVectorBackends();
 /**
  * The backend dispatch currently routes through. Resolved once on
  * first use: HBBP_VECTOR_BACKEND if set and usable (an unusable
- * request warns once and falls back), otherwise AVX2 when the CPU has
- * it, otherwise scalar.
+ * request warns once and falls back), otherwise AVX2 when it is
+ * usable, otherwise scalar.
  */
 VectorBackend activeVectorBackend();
 
@@ -150,8 +143,6 @@ void saxpy(double *y, double a, const double *x, size_t n);
 void scale(double *x, double a, size_t n);
 /** Dispatched VectorOpsTable::scaledCopy. */
 void scaledCopy(double *dst, const double *src, double a, size_t n);
-/** Dispatched VectorOpsTable::maxValue. */
-double maxValue(const double *x, size_t n);
 /** Dispatched VectorOpsTable::accumulateSatU64. */
 size_t accumulateSatU64(uint64_t *dst, const uint64_t *src, size_t n);
 /** Dispatched VectorOpsTable::bucketCounts. */

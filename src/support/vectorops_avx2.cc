@@ -1,224 +1,34 @@
 /**
- * AVX2 vectorops backend — a guarded translation unit.
+ * The AVX2 vectorops table: vectorops_kernels.inc compiled under
+ * -mavx2 (see the vectorops stanza in the top-level CMakeLists.txt).
  *
- * Built with -mavx2 -ffp-contract=off when the compiler supports it
- * (see the vectorops stanza in the top-level CMakeLists.txt); compiles
- * to a nullptr-returning stub otherwise, so the dispatcher links
- * unconditionally and simply never offers the backend. Kernels are
- * only ever *called* after the CPUID check in the dispatcher.
- *
- * Bit-stability contract: reductions keep the scalar reference's eight
- * stride-8 accumulator lanes — two 4-wide vectors here — and fold them
- * with the same fixed tree; element-wise kernels use explicit mul/add
- * (never FMA). Loads are unaligned (vmovupd): spans need no alignment,
- * and tails fall back to the scalar lane updates.
+ * The kernels are the scalar source unchanged; the compiler widens
+ * them to 256-bit vectors, and -ffp-contract=off keeps the bits equal
+ * to the scalar table's. Without -mavx2 the TU compiles to a
+ * nullptr-returning stub, so the dispatcher links unconditionally and
+ * never offers the backend. Kernels are only ever *called* after the
+ * CPUID check in the dispatcher.
  */
 
 #include "support/vectorops_tables.hh"
 
-#if defined(__AVX2__)
-
-#include <cmath>
-#include <immintrin.h>
-
 namespace hbbp::detail {
+
+#if defined(__AVX2__)
 
 namespace {
 
-double
-reduceLanes(const double lane[8])
-{
-    return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-           ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
-double
-avx2Sum(const double *x, size_t n)
-{
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    size_t nb = n & ~static_cast<size_t>(7);
-    for (size_t i = 0; i < nb; i += 8) {
-        a0 = _mm256_add_pd(a0, _mm256_loadu_pd(x + i));
-        a1 = _mm256_add_pd(a1, _mm256_loadu_pd(x + i + 4));
-    }
-    double lane[8];
-    _mm256_storeu_pd(lane, a0);
-    _mm256_storeu_pd(lane + 4, a1);
-    for (size_t i = nb; i < n; i++)
-        lane[i - nb] += x[i];
-    return reduceLanes(lane);
-}
-
-double
-avx2Dot(const double *x, const double *y, size_t n)
-{
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    size_t nb = n & ~static_cast<size_t>(7);
-    for (size_t i = 0; i < nb; i += 8) {
-        a0 = _mm256_add_pd(
-            a0, _mm256_mul_pd(_mm256_loadu_pd(x + i),
-                              _mm256_loadu_pd(y + i)));
-        a1 = _mm256_add_pd(
-            a1, _mm256_mul_pd(_mm256_loadu_pd(x + i + 4),
-                              _mm256_loadu_pd(y + i + 4)));
-    }
-    double lane[8];
-    _mm256_storeu_pd(lane, a0);
-    _mm256_storeu_pd(lane + 4, a1);
-    for (size_t i = nb; i < n; i++)
-        lane[i - nb] += x[i] * y[i];
-    return reduceLanes(lane);
-}
-
-void
-avx2Saxpy(double *y, double a, const double *x, size_t n)
-{
-    __m256d va = _mm256_set1_pd(a);
-    size_t nb = n & ~static_cast<size_t>(3);
-    for (size_t i = 0; i < nb; i += 4)
-        _mm256_storeu_pd(
-            y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                                 _mm256_mul_pd(va,
-                                               _mm256_loadu_pd(x + i))));
-    for (size_t i = nb; i < n; i++)
-        y[i] = y[i] + a * x[i];
-}
-
-void
-avx2Scale(double *x, double a, size_t n)
-{
-    __m256d va = _mm256_set1_pd(a);
-    size_t nb = n & ~static_cast<size_t>(3);
-    for (size_t i = 0; i < nb; i += 4)
-        _mm256_storeu_pd(
-            x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), va));
-    for (size_t i = nb; i < n; i++)
-        x[i] *= a;
-}
-
-void
-avx2ScaledCopy(double *dst, const double *src, double a, size_t n)
-{
-    __m256d va = _mm256_set1_pd(a);
-    size_t nb = n & ~static_cast<size_t>(3);
-    for (size_t i = 0; i < nb; i += 4)
-        _mm256_storeu_pd(
-            dst + i, _mm256_mul_pd(va, _mm256_loadu_pd(src + i)));
-    for (size_t i = nb; i < n; i++)
-        dst[i] = a * src[i];
-}
-
-double
-avx2Max(const double *x, size_t n)
-{
-    // vmaxpd(acc, v) == acc > v ? acc : v — exactly the scalar lane
-    // rule, including the toward-the-newer-element tie/NaN behavior.
-    __m256d m0 = _mm256_set1_pd(-HUGE_VAL);
-    __m256d m1 = _mm256_set1_pd(-HUGE_VAL);
-    size_t nb = n & ~static_cast<size_t>(7);
-    for (size_t i = 0; i < nb; i += 8) {
-        m0 = _mm256_max_pd(m0, _mm256_loadu_pd(x + i));
-        m1 = _mm256_max_pd(m1, _mm256_loadu_pd(x + i + 4));
-    }
-    double lane[8];
-    _mm256_storeu_pd(lane, m0);
-    _mm256_storeu_pd(lane + 4, m1);
-    for (size_t i = nb; i < n; i++)
-        lane[i - nb] = lane[i - nb] > x[i] ? lane[i - nb] : x[i];
-    auto op = [](double u, double v) { return u > v ? u : v; };
-    return op(op(op(lane[0], lane[1]), op(lane[2], lane[3])),
-              op(op(lane[4], lane[5]), op(lane[6], lane[7])));
-}
-
-size_t
-avx2AccumulateSatU64(uint64_t *dst, const uint64_t *src, size_t n)
-{
-    // AVX2 has no unsigned 64-bit compare; bias both sides by 2^63 so
-    // the signed compare orders them as unsigned. A sum that wrapped
-    // is strictly below the addend, and OR-ing the all-ones compare
-    // mask into the sum clamps exactly those lanes to UINT64_MAX.
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ULL));
-    size_t saturated = 0;
-    size_t nb = n & ~static_cast<size_t>(3);
-    for (size_t i = 0; i < nb; i += 4) {
-        __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        __m256i r = _mm256_add_epi64(d, s);
-        __m256i wrapped = _mm256_cmpgt_epi64(
-            _mm256_xor_si256(s, bias), _mm256_xor_si256(r, bias));
-        r = _mm256_or_si256(r, wrapped);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), r);
-        saturated += static_cast<size_t>(__builtin_popcount(
-            _mm256_movemask_pd(_mm256_castsi256_pd(wrapped))));
-    }
-    for (size_t i = nb; i < n; i++) {
-        uint64_t r = dst[i] + src[i];
-        if (r < src[i]) {
-            r = UINT64_MAX;
-            saturated++;
-        }
-        dst[i] = r;
-    }
-    return saturated;
-}
-
-void
-avx2BucketCounts(const uint64_t *x, size_t n, const uint64_t *bounds,
-                 size_t nbounds, uint64_t *counts)
-{
-    // One v <= bound sweep per bound: AVX2 has only signed 64-bit
-    // compares, so both sides get the 2^63 bias and v <= b becomes
-    // !(v' > b') — four lanes per popcount of the inverted movemask.
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ULL));
-    size_t nb = n & ~static_cast<size_t>(3);
-    uint64_t prev_le = 0;
-    for (size_t b = 0; b < nbounds; b++) {
-        __m256i vb = _mm256_xor_si256(
-            _mm256_set1_epi64x(static_cast<long long>(bounds[b])),
-            bias);
-        uint64_t le = 0;
-        for (size_t i = 0; i < nb; i += 4) {
-            __m256i v = _mm256_xor_si256(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(x + i)),
-                bias);
-            int gt = _mm256_movemask_pd(
-                _mm256_castsi256_pd(_mm256_cmpgt_epi64(v, vb)));
-            le += 4 - static_cast<unsigned>(__builtin_popcount(gt));
-        }
-        for (size_t i = nb; i < n; i++)
-            le += x[i] <= bounds[b] ? 1 : 0;
-        counts[b] = le - prev_le;
-        prev_le = le;
-    }
-    counts[nbounds] = n - prev_le;
-}
-
-constexpr VectorOpsTable kAvx2Table = {
-    avx2Sum,  avx2Dot, avx2Saxpy,
-    avx2Scale, avx2ScaledCopy, avx2Max,
-    avx2AccumulateSatU64, avx2BucketCounts,
-};
+#include "support/vectorops_kernels.inc"
 
 } // namespace
 
 const VectorOpsTable *
 vectorOpsAvx2Table()
 {
-    return &kAvx2Table;
+    return &kKernelTable;
 }
 
-} // namespace hbbp::detail
-
 #else // !__AVX2__ — the stub half of the guarded TU.
-
-namespace hbbp::detail {
 
 const VectorOpsTable *
 vectorOpsAvx2Table()
@@ -226,6 +36,6 @@ vectorOpsAvx2Table()
     return nullptr;
 }
 
-} // namespace hbbp::detail
-
 #endif
+
+} // namespace hbbp::detail

@@ -1,10 +1,9 @@
 /**
  * @file
- * Internal seam between the vectorops dispatcher and its guarded
- * backend translation units. Each backend TU always defines its
- * accessor; when the TU was compiled without the ISA (no -mavx2 /
- * -mavx512f / no NEON), the accessor returns nullptr — the stub half
- * of the guarded-TU idiom — so linkage never depends on compiler
+ * Internal seam between the vectorops dispatcher and the guarded AVX2
+ * translation unit. The TU always defines its accessor; when it was
+ * compiled without -mavx2, the accessor returns nullptr — the stub
+ * half of the guarded-TU idiom — so linkage never depends on compiler
  * flags. Not part of the public vectorops API.
  */
 
@@ -17,12 +16,6 @@ namespace hbbp::detail {
 
 /** AVX2 kernel table; nullptr when built without -mavx2. */
 const VectorOpsTable *vectorOpsAvx2Table();
-
-/** AVX-512 kernel table; nullptr when built without -mavx512f. */
-const VectorOpsTable *vectorOpsAvx512Table();
-
-/** NEON kernel table; nullptr off aarch64. */
-const VectorOpsTable *vectorOpsNeonTable();
 
 } // namespace hbbp::detail
 
