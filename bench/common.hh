@@ -7,11 +7,50 @@
 #define HBBP_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "hbbp/hbbp.hh"
+#include "support/strings.hh"
+#include "support/vectorops.hh"
 
 namespace hbbp::bench {
+
+/** The CPU model from /proc/cpuinfo, or "unknown" where there is none. */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        size_t colon = line.find(':');
+        if (!startsWith(line, "model name") || colon == std::string::npos)
+            continue;
+        size_t first = line.find_first_not_of(" \t", colon + 1);
+        if (first != std::string::npos)
+            return line.substr(first);
+    }
+    return "unknown";
+}
+
+/**
+ * The machine stamp every scale bench JSON carries, as three
+ * `"key": value` lines (no trailing comma or newline after the last):
+ * nproc, the CPU model and the vector backend dispatch resolved.
+ * Each line after the first is indented by two spaces.
+ */
+inline std::string
+machineJson()
+{
+    std::string out;
+    out += format("\"nproc\": %u,\n",
+                  std::thread::hardware_concurrency());
+    out += format("  \"cpu\": \"%s\",\n", jsonEscape(cpuModel()).c_str());
+    out += format("  \"vector_backend\": \"%s\"",
+                  name(activeVectorBackend()));
+    return out;
+}
 
 /** One fully analyzed workload run. */
 struct Analyzed

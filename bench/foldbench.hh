@@ -26,11 +26,10 @@
 #define HBBP_BENCH_FOLDBENCH_HH
 
 #include <chrono>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/common.hh"
 #include "fleet/merge.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -68,23 +67,6 @@ foldSecondsSince(std::chrono::steady_clock::time_point start)
     using namespace std::chrono;
     return duration_cast<duration<double>>(steady_clock::now() - start)
         .count();
-}
-
-/** The CPU model from /proc/cpuinfo, or "unknown" where there is none. */
-inline std::string
-cpuModel()
-{
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        size_t colon = line.find(':');
-        if (!startsWith(line, "model name") || colon == std::string::npos)
-            continue;
-        size_t first = line.find_first_not_of(" \t", colon + 1);
-        if (first != std::string::npos)
-            return line.substr(first);
-    }
-    return "unknown";
 }
 
 /** One fold pass over the kernel spans; returns a value the optimizer
@@ -190,12 +172,7 @@ runFoldBench(const std::vector<ProfileData> &shards,
 inline std::string
 foldBenchJson(const FoldBench &fb)
 {
-    std::string out;
-    out += format("\"nproc\": %u,\n",
-                  std::thread::hardware_concurrency());
-    out += format("  \"cpu\": \"%s\",\n",
-                  jsonEscape(detail::cpuModel()).c_str());
-    out += format("  \"vector_backend\": \"%s\",\n", fb.dispatch.c_str());
+    std::string out = machineJson() + ",\n";
     out += "  \"fold\": {\n";
     out += format("    \"kernel_span\": %zu,\n", fb.kernel_span);
     out += format("    \"shards\": %zu,\n", fb.shards);

@@ -227,6 +227,7 @@ main(int argc, char **argv)
 
     std::printf("{\n  \"bench\": \"scale_query\",\n");
     std::printf("  \"quick\": %s,\n", quick ? "true" : "false");
+    std::printf("  %s,\n", bench::machineJson().c_str());
     std::printf("  \"hosts\": %zu,\n", n_hosts);
     std::printf("  \"query\": {\n");
     std::printf("    \"cold_qps\": %.3f,\n", cold_qps);

@@ -254,6 +254,7 @@ main(int argc, char **argv)
 
     std::printf("{\n  \"bench\": \"scale_store\",\n");
     std::printf("  \"quick\": %s,\n", quick ? "true" : "false");
+    std::printf("  %s,\n", bench::machineJson().c_str());
     std::printf("  \"store\": {\n");
     std::printf("    \"entries\": %zu,\n", entries);
     std::printf("    \"indexed_lookup_per_s\": %.1f,\n", indexed_per_s);

@@ -1,6 +1,7 @@
 #include "analysis/analyzer.hh"
 
 #include <algorithm>
+#include <chrono>
 
 #include "support/logging.hh"
 
@@ -38,12 +39,33 @@ Analyzer::computeFeatures(const BlockMap &map,
     return features;
 }
 
-AnalysisResult
-Analyzer::analyze(const Program &prog, const ProfileData &profile) const
+namespace {
+
+/** Steady-clock nanoseconds for the stage timing split. */
+uint64_t
+stageNowNs()
 {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+} // namespace
+
+AnalysisResult
+Analyzer::analyze(const Program &prog, const ProfileData &profile,
+                  AnalysisTiming *timing) const
+{
+    uint64_t t0 = stageNowNs();
     BlockMap map(prog, opts_.map);
+    uint64_t t1 = stageNowNs();
     BbecEstimator estimator(opts_.bbec);
     BbecEstimates estimates = estimator.estimate(map, profile);
+    if (timing) {
+        timing->blockmap_ns = t1 - t0;
+        timing->bbec_ns = stageNowNs() - t1;
+    }
     std::vector<BlockFeatures> features = computeFeatures(map, estimates);
 
     const size_t n = map.blocks().size();

@@ -66,6 +66,13 @@ struct AnalysisResult
     InstructionMix lbrMix() const { return {map, estimates.lbr}; }
 };
 
+/** Where one analyze() call spent its time, in nanoseconds. */
+struct AnalysisTiming
+{
+    uint64_t blockmap_ns = 0; ///< Disassembly and block discovery.
+    uint64_t bbec_ns = 0;     ///< EBS/LBR estimation and bias detection.
+};
+
 /** Runs the analysis pipeline. */
 class Analyzer
 {
@@ -74,10 +81,11 @@ class Analyzer
 
     /**
      * Analyze @p profile against @p prog. The returned result references
-     * @p prog, which must outlive it.
+     * @p prog, which must outlive it. *@p timing, when non-null,
+     * receives the block map and BBEC stage times.
      */
-    AnalysisResult analyze(const Program &prog,
-                           const ProfileData &profile) const;
+    AnalysisResult analyze(const Program &prog, const ProfileData &profile,
+                           AnalysisTiming *timing = nullptr) const;
 
     /** Compute the per-block feature vectors used for classification. */
     static std::vector<BlockFeatures>

@@ -1,64 +1,30 @@
 #include "analysis/bbec.hh"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 
-#include "support/logging.hh"
+#include "support/addr_table.hh"
 #include "support/vectorops.hh"
 
 namespace hbbp {
 
 namespace {
 
-/**
- * Walk the straight-line path from stream target @p t to stream source
- * @p s, appending credited block indices to @p out. Returns false when
- * the stream is inconsistent with the block map (invalid target, an
- * always-taken transfer strictly inside the range, or a gap).
- */
-bool
-walkStream(const BlockMap &map, uint64_t t, uint64_t s,
-           uint32_t max_blocks, std::vector<uint32_t> &out)
+/** How often one branch source shows up in the LBR stacks. */
+struct SourceCounts
 {
-    uint32_t bi = map.blockAt(t);
-    if (bi == BlockMap::npos)
-        return false;
-    // A stream target is a branch target, which disassembly makes a
-    // block leader; a mid-block target means the map is stale.
-    if (map.block(bi).start != t)
-        return false;
-    if (s < t)
-        return false;
+    uint64_t entry0 = 0; ///< Stacks with the source at entry[0].
+    uint64_t slots = 0;  ///< Stack slots holding the source.
+};
 
-    size_t first = out.size();
-    for (uint32_t steps = 0; steps < max_blocks; steps++) {
-        const MapBlock &blk = map.block(bi);
-        out.push_back(bi);
-        if (blk.contains(s)) {
-            // The source must be the block's control transfer (last
-            // instruction); anything else is a stale-map symptom.
-            const Instruction &last = blk.instrs.back();
-            if (last.addr != s || !last.info().isControl()) {
-                out.resize(first);
-                return false;
-            }
+/** True when any entry of @p sample has a source in @p sources. */
+bool
+mentionsAny(const LbrStackSample &sample,
+            const std::vector<uint64_t> &sources)
+{
+    for (const LbrEntry &e : sample.entries)
+        if (std::find(sources.begin(), sources.end(), e.source) !=
+            sources.end())
             return true;
-        }
-        // We must fall off the end of this block: impossible past an
-        // always-taken control transfer.
-        const Instruction &last = blk.instrs.back();
-        if (last.info().isControl() && last.info().isAlwaysTaken()) {
-            out.resize(first);
-            return false;
-        }
-        uint32_t next = map.blockAt(blk.end());
-        if (next == BlockMap::npos || map.block(next).start != blk.end()) {
-            out.resize(first);
-            return false;
-        }
-        bi = next;
-    }
-    out.resize(first);
     return false;
 }
 
@@ -97,39 +63,45 @@ BbecEstimator::estimate(const BlockMap &map,
 
     // ---- Bias detection pass A: entry[0] frequency vs overall slot
     // frequency per branch source address.
-    std::unordered_map<uint64_t, uint64_t> entry0_count;
-    std::unordered_map<uint64_t, uint64_t> slot_count;
+    AddrTable<SourceCounts> counts;
     uint64_t total_samples = 0;
     uint64_t total_slots = 0;
     for (const LbrStackSample &sample : profile.lbr) {
         if (sample.entries.empty())
             continue;
         total_samples++;
-        entry0_count[sample.entries.front().source]++;
+        counts[sample.entries.front().source].entry0++;
         for (const LbrEntry &e : sample.entries) {
-            slot_count[e.source]++;
+            counts[e.source].slots++;
             total_slots++;
         }
     }
-    std::unordered_set<uint64_t> biased_sources;
     if (total_samples > 0 && total_slots > 0) {
-        for (const auto &[src, cnt] : entry0_count) {
-            double freq0 = static_cast<double>(cnt) /
+        counts.forEach([&](uint64_t src, const SourceCounts &c) {
+            if (c.entry0 == 0)
+                return;
+            double freq0 = static_cast<double>(c.entry0) /
                            static_cast<double>(total_samples);
-            double overall = static_cast<double>(slot_count[src]) /
+            double overall = static_cast<double>(c.slots) /
                              static_cast<double>(total_slots);
             if (freq0 >= opts_.bias_min_freq &&
-                freq0 > opts_.bias_ratio * overall) {
-                biased_sources.insert(src);
+                freq0 > opts_.bias_ratio * overall)
                 est.biased_branches.push_back({src, freq0, overall});
-            }
-        }
+        });
+        std::sort(est.biased_branches.begin(), est.biased_branches.end(),
+                  [](const BiasedBranch &a, const BiasedBranch &b) {
+                      return a.source < b.source;
+                  });
     }
+    // Few by construction: entry[0] frequencies sum to 1, so at most
+    // 1 / bias_min_freq sources clear the floor.
+    std::vector<uint64_t> biased_sources;
+    for (const BiasedBranch &bb : est.biased_branches)
+        biased_sources.push_back(bb.source);
 
-    // ---- LBR: walk the N-1 streams of every stack.
+    // ---- LBR: check the N-1 streams of every stack and credit the
+    // blocks each valid one spans.
     std::vector<double> biased_credit(n, 0.0);
-    std::vector<uint32_t> credited;
-    credited.reserve(64);
     for (const LbrStackSample &sample : profile.lbr) {
         const size_t depth = sample.entries.size();
         if (depth < 2)
@@ -138,29 +110,23 @@ BbecEstimator::estimate(const BlockMap &map,
         // A sample is bias-suspect when a biased branch appears anywhere
         // in the stack: the stale-entry[0] anomaly distorts evidence for
         // every block that co-occurs with the anomalous branch.
-        bool sample_biased = false;
-        if (!biased_sources.empty()) {
-            for (const LbrEntry &e : sample.entries) {
-                if (biased_sources.count(e.source) > 0) {
-                    sample_biased = true;
-                    break;
-                }
-            }
-        }
+        const bool sample_biased =
+            !biased_sources.empty() && mentionsAny(sample, biased_sources);
         for (size_t i = 1; i < depth; i++) {
             est.lbr_streams_total++;
-            uint64_t t = sample.entries[i - 1].target;
-            uint64_t s = sample.entries[i].source;
-            credited.clear();
-            if (!walkStream(map, t, s, opts_.max_walk_blocks, credited)) {
+            std::optional<StreamBlocks> span =
+                streamBlocks(map, sample.entries[i - 1].target,
+                             sample.entries[i].source,
+                             opts_.max_walk_blocks);
+            if (!span) {
                 est.lbr_streams_discarded++;
                 continue;
             }
-            for (uint32_t bi : credited) {
+            for (uint32_t bi = span->first; bi <= span->last; bi++)
                 est.lbr_weight[bi] += weight;
-                if (sample_biased)
+            if (sample_biased)
+                for (uint32_t bi = span->first; bi <= span->last; bi++)
                     biased_credit[bi] += weight;
-            }
         }
     }
     double lbr_scale = static_cast<double>(profile.sim_periods.lbr);

@@ -399,9 +399,11 @@ AnalysisService::analysisFor(const QueryRequest &request,
     aopts.classifier = std::make_shared<CutoffClassifier>(cutoff, bias);
     Analyzer analyzer(aopts);
     auto res = std::make_unique<AnalysisResult>(
-        analyzer.analyze(*workload_->program, *profile));
+        analyzer.analyze(*workload_->program, *profile, &last_run_));
     stats_.analyses++;
     const AnalysisResult *out = res.get();
+    if (analysis_cache_.size() >= kMaxCachedAnalyses)
+        analysis_cache_.clear();
     analysis_cache_.emplace(std::move(key), std::move(res));
     return out;
 }
@@ -686,6 +688,7 @@ AnalysisService::serve(const QueryRequest &request, ServeTiming *timing)
     if (timing)
         timing->cache_ns = static_cast<uint64_t>(t1 - t0);
 
+    last_run_ = AnalysisTiming{};
     QueryResult r;
     if (verb == "mix")
         r = buildMix(request);
@@ -705,16 +708,22 @@ AnalysisService::serve(const QueryRequest &request, ServeTiming *timing)
     r.verb = verb;
     r.epoch = epoch;
     r.cached = false;
-    if (timing)
+    if (timing) {
         timing->analysis_ns =
             static_cast<uint64_t>(serveNowNs() - t1);
+        timing->blockmap_ns = last_run_.blockmap_ns;
+        timing->bbec_ns = last_run_.bbec_ns;
+    }
     if (!r.error.empty()) {
         stats_.errors++;
         m_errors.add();
         return r;
     }
-    if (cacheable)
+    if (cacheable) {
+        if (result_cache_.size() >= kMaxCachedResults)
+            result_cache_.clear();
         result_cache_.emplace(request.cacheKey(), r);
+    }
     return r;
 }
 

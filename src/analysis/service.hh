@@ -16,10 +16,13 @@
  * aggregator's invalidation epoch (bumped once per accepted shard),
  * and both cache levels — rendered-result by canonical request key,
  * and the expensive AnalysisResult by analyzer configuration — are
- * dropped the moment the epoch moves. Repeated queries between
- * arrivals are cache hits; every result carries the epoch it was
- * computed at and whether it came from cache, which the wire protocol
- * surfaces as `epoch=`/`cached=` headers.
+ * dropped the moment the epoch moves. Each level also holds a bounded
+ * number of entries and is emptied when full, so a stream of distinct
+ * queries within one epoch cannot grow the daemon without limit.
+ * Repeated queries between arrivals are cache hits; every result
+ * carries the epoch it was computed at and whether it came from
+ * cache, which the wire protocol surfaces as `epoch=`/`cached=`
+ * headers.
  */
 
 #ifndef HBBP_ANALYSIS_SERVICE_HH
@@ -218,6 +221,9 @@ struct ServeTiming
 {
     uint64_t cache_ns = 0;    ///< Epoch refresh + result-cache probe.
     uint64_t analysis_ns = 0; ///< Building the result (0 on a hit).
+    /** Analyzer stages inside analysis_ns; 0 when no analyzer ran. */
+    uint64_t blockmap_ns = 0;
+    uint64_t bbec_ns = 0;
 };
 
 /**
@@ -257,6 +263,11 @@ class AnalysisService
 
     const ServiceStats &stats() const { return stats_; }
 
+    /** Most rendered results one epoch keeps. */
+    static constexpr size_t kMaxCachedResults = 64;
+    /** Most AnalysisResults one epoch keeps (each holds a block map). */
+    static constexpr size_t kMaxCachedAnalyses = 8;
+
   private:
     /** Drop both cache levels when the source epoch moved. */
     void refreshEpoch();
@@ -268,7 +279,8 @@ class AnalysisService
     /**
      * The expensive level: AnalysisResult by analyzer configuration
      * (cutoff/bias/patch/host), shared by every verb and format that
-     * needs the same analysis within one epoch.
+     * needs the same analysis within one epoch. An analyzer run
+     * records its stage times in last_run_.
      */
     const AnalysisResult *analysisFor(const QueryRequest &request,
                                       std::string *error);
@@ -291,6 +303,8 @@ class AnalysisService
         analysis_cache_;
 
     ServiceStats stats_;
+    /** Stage times of the analyzer run serve() is inside, if any. */
+    AnalysisTiming last_run_;
 };
 
 } // namespace hbbp

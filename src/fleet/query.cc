@@ -35,11 +35,14 @@ renderQueryReplyBody(const QueryReply &reply)
     out += format("cached=%d\n", reply.cached ? 1 : 0);
     if (reply.has_timing)
         out += format(
-            "timing=parse:%llu,cache:%llu,analysis:%llu,render:%llu\n",
+            "timing=parse:%llu,cache:%llu,analysis:%llu,render:%llu,"
+            "blockmap:%llu,bbec:%llu\n",
             static_cast<unsigned long long>(reply.parse_ns),
             static_cast<unsigned long long>(reply.cache_ns),
             static_cast<unsigned long long>(reply.analysis_ns),
-            static_cast<unsigned long long>(reply.render_ns));
+            static_cast<unsigned long long>(reply.render_ns),
+            static_cast<unsigned long long>(reply.blockmap_ns),
+            static_cast<unsigned long long>(reply.bbec_ns));
     if (!reply.trace_id.empty())
         out += "trace=" + reply.trace_id + "\n";
     if (!reply.ok) {
@@ -120,6 +123,10 @@ parseQueryReplyBody(const std::string &body, QueryReply *reply,
                     reply->analysis_ns = ns;
                 else if (phase == "render")
                     reply->render_ns = ns;
+                else if (phase == "blockmap")
+                    reply->blockmap_ns = ns;
+                else if (phase == "bbec")
+                    reply->bbec_ns = ns;
             }
             reply->has_timing = true;
         } else if (key == "trace") {
@@ -309,6 +316,8 @@ QueryEndpoint::handle(const std::string &request_body)
         QueryResult result = service_.serve(*request, &timing);
         reply.cache_ns = timing.cache_ns;
         reply.analysis_ns = timing.analysis_ns;
+        reply.blockmap_ns = timing.blockmap_ns;
+        reply.bbec_ns = timing.bbec_ns;
         reply.ok = result.error.empty();
         reply.epoch = result.epoch;
         reply.cached = result.cached;

@@ -66,17 +66,21 @@ struct QueryReply
     std::string payload; ///< The rendered QueryResult bytes.
     /**
      * Server-side time split, rendered as
-     * `timing=parse:N,cache:N,analysis:N,render:N` (nanoseconds)
-     * when has_timing — where the request's wall time went: request
-     * parse, cache probe (epoch refresh + result-cache lookup),
-     * analysis build (0 on a cache hit), payload render. Older
-     * clients skip the header; older servers simply never send it.
+     * `timing=parse:N,cache:N,analysis:N,render:N,blockmap:N,bbec:N`
+     * (nanoseconds) when has_timing — where the request's wall time
+     * went: request parse, cache probe (epoch refresh + result-cache
+     * lookup), analysis build (0 on a cache hit), payload render, and
+     * the analyzer's block map and BBEC stages inside the analysis
+     * build (0 when no analyzer ran). Older clients skip the header
+     * or its unknown phases; older servers simply never send them.
      */
     bool has_timing = false;
     uint64_t parse_ns = 0;
     uint64_t cache_ns = 0;
     uint64_t analysis_ns = 0;
     uint64_t render_ns = 0;
+    uint64_t blockmap_ns = 0;
+    uint64_t bbec_ns = 0;
     /**
      * Query trace id (`trace=` header) when the serving daemon runs
      * with --trace-log: the id of the query_serve span it appended,

@@ -28,6 +28,31 @@ BlockMap::BlockMap(const Program &prog, const BlockMapOptions &opts)
               });
     for (uint32_t i = 0; i < blocks_.size(); i++)
         blocks_[i].index = i;
+    buildIndex();
+}
+
+void
+BlockMap::buildIndex()
+{
+    const uint32_t n = static_cast<uint32_t>(blocks_.size());
+    starts_.resize(n);
+    for (uint32_t i = 0; i < n; i++)
+        starts_[i] = blocks_[i].start;
+
+    by_addr_ = AddrTable<AddrBlocks>(2 * static_cast<size_t>(n));
+    breaks_before_.assign(n + 1, 0);
+    for (uint32_t i = 0; i < n; i++) {
+        const MapBlock &blk = blocks_[i];
+        by_addr_[blk.start].starting = i;
+        const MnemonicInfo &last = blk.instrs.back().info();
+        if (last.isControl())
+            by_addr_[blk.instrs.back().addr].branching = i;
+        // Falling off the end is impossible past an always-taken
+        // transfer, and reaches block i + 1 only if it starts at end().
+        bool falls = !(last.isControl() && last.isAlwaysTaken()) &&
+                     i + 1 < n && starts_[i + 1] == blk.end();
+        breaks_before_[i + 1] = breaks_before_[i] + (falls ? 0 : 1);
+    }
 }
 
 void
@@ -97,12 +122,10 @@ BlockMap::block(uint32_t index) const
 uint32_t
 BlockMap::blockAt(uint64_t addr) const
 {
-    auto it = std::upper_bound(
-        blocks_.begin(), blocks_.end(), addr,
-        [](uint64_t a, const MapBlock &b) { return a < b.start; });
-    if (it == blocks_.begin())
+    auto it = std::upper_bound(starts_.begin(), starts_.end(), addr);
+    if (it == starts_.begin())
         return npos;
-    const MapBlock &candidate = *(it - 1);
+    const MapBlock &candidate = blocks_[it - starts_.begin() - 1];
     if (!candidate.contains(addr))
         return npos;
     return candidate.index;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "program/program.hh"
+#include "support/addr_table.hh"
 
 namespace hbbp {
 
@@ -78,6 +79,37 @@ class BlockMap
     /** Index of the block containing @p addr, or npos. */
     uint32_t blockAt(uint64_t addr) const;
 
+    /** Index of the block starting exactly at @p addr, or npos. O(1). */
+    uint32_t
+    blockStartingAt(uint64_t addr) const
+    {
+        const AddrBlocks *hit = by_addr_.find(addr);
+        return hit ? hit->starting : npos;
+    }
+
+    /**
+     * Index of the block whose last instruction is the control
+     * transfer at @p addr, or npos. O(1).
+     */
+    uint32_t
+    blockBranchingAt(uint64_t addr) const
+    {
+        const AddrBlocks *hit = by_addr_.find(addr);
+        return hit ? hit->branching : npos;
+    }
+
+    /**
+     * True when execution can run from block @p first straight through
+     * to block @p last (first <= last) without a taken transfer: no
+     * block in [first, last) ends in an always-taken control transfer
+     * or is followed by a gap. O(1).
+     */
+    bool
+    fallsThrough(uint32_t first, uint32_t last) const
+    {
+        return breaks_before_[last] == breaks_before_[first];
+    }
+
     /** Sentinel returned by blockAt for unmapped addresses. */
     static constexpr uint32_t npos = UINT32_MAX;
 
@@ -91,10 +123,24 @@ class BlockMap
     const Program &program() const { return prog_; }
 
   private:
+    /** The blocks an address starts and ends in a control transfer. */
+    struct AddrBlocks
+    {
+        uint32_t starting = npos;
+        uint32_t branching = npos;
+    };
+
     void discoverModule(const Module &mod, const BlockMapOptions &opts);
+    void buildIndex();
 
     const Program &prog_;
     std::vector<MapBlock> blocks_;
+    /** blocks_[i].start, flat: blockAt searches this, not the blocks. */
+    std::vector<uint64_t> starts_;
+    /** Block start and control-transfer addresses to block indices. */
+    AddrTable<AddrBlocks> by_addr_;
+    /** breaks_before_[i]: blocks k < i that cannot fall into k + 1. */
+    std::vector<uint32_t> breaks_before_;
 };
 
 } // namespace hbbp

@@ -713,11 +713,13 @@ cmdQuery(const QueryCliOptions &opts)
         std::fprintf(
             stderr,
             "timing parse=%lluns cache=%lluns analysis=%lluns "
-            "render=%lluns\n",
+            "render=%lluns blockmap=%lluns bbec=%lluns\n",
             static_cast<unsigned long long>(reply.parse_ns),
             static_cast<unsigned long long>(reply.cache_ns),
             static_cast<unsigned long long>(reply.analysis_ns),
-            static_cast<unsigned long long>(reply.render_ns));
+            static_cast<unsigned long long>(reply.render_ns),
+            static_cast<unsigned long long>(reply.blockmap_ns),
+            static_cast<unsigned long long>(reply.bbec_ns));
     if (!reply.trace_id.empty())
         std::fprintf(stderr, "trace=%s\n", reply.trace_id.c_str());
     if (!reply.ok)

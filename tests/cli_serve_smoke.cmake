@@ -176,12 +176,13 @@ if(differs)
     message(FATAL_ERROR "cached repeat returned different bytes")
 endif()
 
-# Per-query server timing: every reply reports all four stages, on the
-# cold serve and on the cached repeat alike.
-if(NOT mix_cold_meta MATCHES "timing parse=[0-9]+ns cache=[0-9]+ns analysis=[0-9]+ns render=[0-9]+ns")
+# Per-query server timing: every reply reports all four stages plus
+# the analyzer's block map and BBEC stages, on the cold serve and on
+# the cached repeat alike.
+if(NOT mix_cold_meta MATCHES "timing parse=[0-9]+ns cache=[0-9]+ns analysis=[0-9]+ns render=[0-9]+ns blockmap=[0-9]+ns bbec=[0-9]+ns")
     message(FATAL_ERROR "cold query meta lacks timing headers: ${mix_cold_meta}")
 endif()
-if(NOT mix_cold2_meta MATCHES "timing parse=[0-9]+ns cache=[0-9]+ns analysis=[0-9]+ns render=[0-9]+ns")
+if(NOT mix_cold2_meta MATCHES "timing parse=[0-9]+ns cache=[0-9]+ns analysis=[0-9]+ns render=[0-9]+ns blockmap=[0-9]+ns bbec=[0-9]+ns")
     message(FATAL_ERROR "cached query meta lacks timing headers: ${mix_cold2_meta}")
 endif()
 

@@ -116,8 +116,20 @@ TEST(QueryProtocol, ReplyRoundTrip)
     reply.epoch = 42;
     reply.cached = true;
     reply.payload = "line one\n\nline two after a blank\n";
+    reply.has_timing = true;
+    reply.parse_ns = 1;
+    reply.cache_ns = 2;
+    reply.analysis_ns = 3;
+    reply.render_ns = 4;
+    reply.blockmap_ns = 5;
+    reply.bbec_ns = 6;
 
     std::string body = renderQueryReplyBody(reply);
+    // The analyzer phases come after the original four, so a parser
+    // that matches the old header prefix still does.
+    EXPECT_NE(body.find("timing=parse:1,cache:2,analysis:3,render:4,"
+                        "blockmap:5,bbec:6\n"),
+              std::string::npos);
     QueryReply parsed;
     std::string why;
     ASSERT_TRUE(parseQueryReplyBody(body, &parsed, &why)) << why;
@@ -126,6 +138,11 @@ TEST(QueryProtocol, ReplyRoundTrip)
     EXPECT_TRUE(parsed.cached);
     // Payload bytes survive verbatim, embedded blank lines included.
     EXPECT_EQ(parsed.payload, reply.payload);
+    EXPECT_TRUE(parsed.has_timing);
+    EXPECT_EQ(parsed.parse_ns, 1u);
+    EXPECT_EQ(parsed.render_ns, 4u);
+    EXPECT_EQ(parsed.blockmap_ns, 5u);
+    EXPECT_EQ(parsed.bbec_ns, 6u);
 }
 
 TEST(QueryProtocol, ErrorReplyFlattensNewlines)
@@ -216,6 +233,56 @@ makeRequest(const std::string &verb,
     return req;
 }
 
+TEST(AnalysisServiceTest, CachesStayBoundedWithinOneEpoch)
+{
+    // Distinct cutoffs within one epoch each miss both cache levels;
+    // a full cache is emptied before the next insert, so memory stays
+    // flat however many distinct queries arrive before the next shard.
+    Workload w = *makeWorkloadByName("test40");
+    ProfileData a = collectHostProfile(w, "hostA");
+    IncrementalAggregator agg;
+    ASSERT_TRUE(agg.addShard(leafManifest(a, "hostA"), a));
+    AggregatorProfileSource source(agg);
+    AnalysisService service(source, makeWorkloadByName);
+
+    auto mixAt = [](size_t i) {
+        return makeRequest("mix", {{"cutoff", std::to_string(20 + i)},
+                                   {"top", "3"}});
+    };
+    const size_t n = AnalysisService::kMaxCachedAnalyses;
+    QueryResult oldest = service.serve(mixAt(0));
+    ASSERT_TRUE(oldest.error.empty()) << oldest.error;
+    for (size_t i = 1; i < n; i++)
+        ASSERT_TRUE(service.serve(mixAt(i)).error.empty());
+    EXPECT_EQ(service.stats().analyses, n);
+
+    // Still within both bounds: every analysis is reused.
+    QueryResult report =
+        service.serve(makeRequest("report", {{"cutoff", "20"}}));
+    ASSERT_TRUE(report.error.empty()) << report.error;
+    EXPECT_EQ(service.stats().analyses, n);
+
+    // One more analysis configuration empties the full cache.
+    ASSERT_TRUE(service.serve(mixAt(n)).error.empty());
+    EXPECT_EQ(service.stats().analyses, n + 1);
+    QueryResult fdo = service.serve(makeRequest("fdo", {{"cutoff", "20"}}));
+    ASSERT_TRUE(fdo.error.empty()) << fdo.error;
+    EXPECT_EQ(service.stats().analyses, n + 2);
+
+    // Rendered results are bounded too: once enough newer results
+    // arrive, the first mix is recomputed, with the same bytes.
+    for (size_t i = 0; i < AnalysisService::kMaxCachedResults; i++)
+        ASSERT_TRUE(service.serve(makeRequest(
+                                      "mix", {{"cutoff", "21"},
+                                              {"top", std::to_string(i)}}))
+                        .error.empty());
+    QueryResult again = service.serve(mixAt(0));
+    EXPECT_FALSE(again.cached);
+    EXPECT_EQ(again.render(RenderFormat::Text),
+              oldest.render(RenderFormat::Text));
+    EXPECT_TRUE(service.serve(mixAt(0)).cached);
+}
+
 TEST(AnalysisServiceTest, EpochCacheInvalidationOnShardArrival)
 {
     Workload w = *makeWorkloadByName("test40");
@@ -229,16 +296,23 @@ TEST(AnalysisServiceTest, EpochCacheInvalidationOnShardArrival)
     AnalysisService service(source, makeWorkloadByName);
 
     QueryRequest req = makeRequest("mix", {{"top", "5"}});
-    QueryResult first = service.serve(req);
+    ServeTiming timing;
+    QueryResult first = service.serve(req, &timing);
     ASSERT_TRUE(first.error.empty()) << first.error;
     EXPECT_EQ(first.epoch, 1u);
     EXPECT_FALSE(first.cached);
     EXPECT_EQ(service.stats().analyses, 1u);
+    // The analyzer ran: its stages are part of the analysis time.
+    EXPECT_GT(timing.bbec_ns, 0u);
+    EXPECT_LE(timing.blockmap_ns + timing.bbec_ns, timing.analysis_ns);
 
     // Identical repeat within the epoch: a result-cache hit, and the
     // expensive analysis must not rerun.
-    QueryResult repeat = service.serve(req);
+    ServeTiming hit_timing;
+    QueryResult repeat = service.serve(req, &hit_timing);
     EXPECT_TRUE(repeat.cached);
+    EXPECT_EQ(hit_timing.blockmap_ns, 0u);
+    EXPECT_EQ(hit_timing.bbec_ns, 0u);
     EXPECT_EQ(service.stats().hits, 1u);
     EXPECT_EQ(service.stats().analyses, 1u);
     EXPECT_EQ(repeat.render(RenderFormat::Text),

@@ -1,17 +1,19 @@
 /**
  * @file
  * Unit tests for the support library: RNG, statistics, counters,
- * tables and string helpers.
+ * tables, string helpers and the address-keyed hash table.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "hbbp/version.hh"
+#include "support/addr_table.hh"
 #include "support/histogram.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -389,6 +391,46 @@ TEST(Strings, ClosestMatches)
     near = closestMatches("kernelbench", names);
     ASSERT_FALSE(near.empty());
     EXPECT_EQ(near[0], "kernelbench");
+}
+
+TEST(AddrTable, MatchesStdMapThroughGrowth)
+{
+    // Clustered code-like addresses plus the extremes, including the
+    // all-ones key the slots use to mark themselves free.
+    AddrTable<uint64_t> table;
+    std::map<uint64_t, uint64_t> want;
+    Rng rng(7);
+    for (int i = 0; i < 5000; i++) {
+        uint64_t key = i % 3 == 0 ? rng.next()
+                                  : 0x400000 + (rng.next() % 4096) * 4;
+        if (i % 997 == 0)
+            key = UINT64_MAX;
+        if (i % 1009 == 0)
+            key = 0;
+        table[key] += static_cast<uint64_t>(i);
+        want[key] += static_cast<uint64_t>(i);
+    }
+    EXPECT_EQ(table.size(), want.size());
+    for (const auto &[key, value] : want) {
+        const uint64_t *got = table.find(key);
+        ASSERT_NE(got, nullptr) << key;
+        EXPECT_EQ(*got, value);
+    }
+    EXPECT_EQ(table.find(0x400001), nullptr);
+
+    std::map<uint64_t, uint64_t> seen;
+    table.forEach([&](uint64_t key, uint64_t value) {
+        EXPECT_TRUE(seen.emplace(key, value).second);
+    });
+    EXPECT_EQ(seen, want);
+}
+
+TEST(AddrTable, AbsentAllOnesKey)
+{
+    AddrTable<int> table(4);
+    table[1] = 5;
+    EXPECT_EQ(table.find(UINT64_MAX), nullptr);
+    EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(Version, ConfiguredAndCoherent)
