@@ -6,8 +6,10 @@
 
 #include "fleet/metrics.hh"
 #include "support/bytes.hh"
+#include "support/events.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
+#include "support/telemetry.hh"
 #include "tools/registry.hh"
 
 namespace fs = std::filesystem;
@@ -41,8 +43,6 @@ FleetNode::FleetNode(FleetNodeOptions options)
     : options_(std::move(options)),
       service_(source_, makeWorkloadByName)
 {
-    trace_.open(options_.trace_log,
-                isRelay() ? "relay:" + options_.id : options_.id);
     if (!options_.store_dir.empty()) {
         store_.emplace(options_.store_dir);
         pin_.emplace(*store_, pinOwner(options_));
@@ -67,7 +67,6 @@ FleetNode::FleetNode(FleetNodeOptions options)
         stats_.inherited_pins = pin_->restored();
         pin_->release();
     }
-    endpoint_.setTraceLog(&trace_, options_.id);
     if (isRelay())
         telemetry::beatEnable(telemetry::Stage::Flush);
     if (options_.watch_dir.empty())
@@ -103,11 +102,12 @@ FleetNode::commit(const ShardManifest &m, const ProfileData *profile,
     // collector -> relay -> root chain.
     for (const std::string &id : m.trace_ids) {
         if (isRelay()) {
-            trace_.span("relay_accept", id);
+            events::emit(events::Level::Info, "relay_accept",
+                         {{"trace", id}});
             seen_trace_ids_.insert(id);
         } else {
-            trace_.span("root_fold", id,
-                        format("from=%s", m.host.c_str()));
+            events::emit(events::Level::Info, "root_fold",
+                         {{"trace", id}, {"from", m.host}});
         }
     }
     // Federation discovery rides the shard tree: a child that
@@ -209,10 +209,11 @@ FleetNode::flushUpstream(std::string *why, int max_attempts)
         // relay's span after its parent's and break the lifecycle's
         // timestamp monotonicity. A failed flush leaves the span as a
         // record of the attempt.
-        if (trace_.active()) {
+        if (events::logActive()) {
             std::string agg_id = shardTraceId(m);
             for (const std::string &id : m.trace_ids)
-                trace_.span("relay_flush", id, "aggregate " + agg_id);
+                events::emit(events::Level::Info, "relay_flush",
+                             {{"trace", id}, {"aggregate", agg_id}});
         }
         SendResult res = transport.sendShard(m, chunks);
         if (!res.ok)

@@ -45,7 +45,6 @@
 #include "fleet/query.hh"
 #include "fleet/store.hh"
 #include "fleet/transport.hh"
-#include "support/telemetry.hh"
 
 namespace hbbp {
 
@@ -56,9 +55,10 @@ struct FleetNodeOptions
 {
     /**
      * The node's name: "root" (`aggregate`), "serve", or a relay id.
-     * It tags trace spans and served query trace ids, picks the store
-     * pin owner, and a relay stamps it as the host id on the
-     * aggregates it flushes upstream.
+     * It names served query trace ids, picks the store pin owner, and
+     * a relay stamps it as the host id on the aggregates it flushes
+     * upstream. Trace spans go to the process event log
+     * (support/events), tagged with the node name it was opened with.
      */
     std::string id = "relay";
     /** Shard listen port (0 picks an ephemeral port). */
@@ -82,8 +82,6 @@ struct FleetNodeOptions
      * bytes a crashed node still needs.
      */
     std::string store_dir;
-    /** JSONL span log for shard-lifecycle tracing; empty disables. */
-    std::string trace_log;
     /** Re-analyze the aggregate as this workload after every
      * arrival; empty disables. */
     std::string analyze_workload;
@@ -139,7 +137,7 @@ class FleetNode
 {
   public:
     /**
-     * Open the trace log and store, restore the state (warning, never
+     * Open the store, restore the state (warning, never
      * dying, when a state file exists but cannot be used), release
      * pins a crashed predecessor left, and bind the listener unless
      * watching a directory; fatal() like ShardListener on bind errors.
@@ -202,7 +200,6 @@ class FleetNode
     bool flushUpstream(std::string *why, int max_attempts);
 
     FleetNodeOptions options_;
-    telemetry::TraceLog trace_;
     IncrementalAggregator agg_;
     std::optional<ProfileStore> store_;
     std::optional<StorePin> pin_;
@@ -211,7 +208,7 @@ class FleetNode
     Analyzer analyzer_;
     AggregatorProfileSource source_{agg_};
     AnalysisService service_;
-    QueryEndpoint endpoint_{service_};
+    QueryEndpoint endpoint_{service_, options_.id};
     std::optional<ShardListener> listener_;
     FleetNodeStats stats_;
 

@@ -83,7 +83,7 @@ struct QueryReply
     uint64_t bbec_ns = 0;
     /**
      * Query trace id (`trace=` header) when the serving daemon runs
-     * with --trace-log: the id of the query_serve span it appended,
+     * with an event log: the id of the query_serve event it appended,
      * so a reply can be joined to the shard-lifecycle trace timeline.
      */
     std::string trace_id;
@@ -179,7 +179,15 @@ class AggregatorProfileSource : public ProfileSource
 class QueryEndpoint
 {
   public:
-    explicit QueryEndpoint(AnalysisService &service);
+    /**
+     * While the process event log (support/events) is open, every
+     * served query appends one `query_serve` event under a fresh
+     * `query-<node>-<seq>` trace id, which the reply echoes in its
+     * `trace=` header — the query's join point into the ingestion
+     * trace timeline.
+     */
+    explicit QueryEndpoint(AnalysisService &service,
+                           std::string node = "serve");
 
     /** One request body in, one reply body out. Never throws. */
     std::string handle(const std::string &request_body);
@@ -187,20 +195,10 @@ class QueryEndpoint
     /** True once a shutdown query was acknowledged. */
     bool stopRequested() const { return stop_; }
 
-    /**
-     * Attach the daemon's shard-lifecycle trace log (borrowed; may
-     * be null or inactive). Every served query then appends one
-     * `query_serve` span with a fresh `query-<node>-<seq>` trace id,
-     * which the reply echoes in its `trace=` header — the query's
-     * join point into the ingestion trace timeline.
-     */
-    void setTraceLog(telemetry::TraceLog *trace, std::string node);
-
   private:
     AnalysisService &service_;
     bool stop_ = false;
-    telemetry::TraceLog *trace_ = nullptr;
-    std::string trace_node_;
+    std::string node_;
     uint64_t query_seq_ = 0;
 };
 

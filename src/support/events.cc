@@ -17,10 +17,10 @@ namespace events {
 namespace {
 
 uint64_t
-wallMs()
+wallUs()
 {
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count());
 }
@@ -109,8 +109,12 @@ parseJsonString(Cursor &c, std::string *out)
                     else
                         return false;
                 }
-                // The writer only escapes control bytes.
-                out->push_back(static_cast<char>(v & 0xff));
+                // The writer only escapes control bytes. A wider code
+                // point would need UTF-8 encoding: refuse it rather
+                // than keep a truncated byte.
+                if (v >= 0x80)
+                    return false;
+                out->push_back(static_cast<char>(v));
                 break;
               }
               default:
@@ -179,7 +183,7 @@ std::string
 Event::render() const
 {
     std::string out = format("%llu %-5s %s node=%s",
-                             static_cast<unsigned long long>(ts_ms),
+                             static_cast<unsigned long long>(ts_us / 1000),
                              name(level), code.c_str(), node.c_str());
     for (const auto &[k, v] : fields)
         out += " " + k + "=" + v;
@@ -189,12 +193,13 @@ Event::render() const
 void
 openLog(const std::string &path, const std::string &node)
 {
-    if (path.empty())
-        return;
     Sink &s = sink();
     std::lock_guard<std::mutex> lock(s.mu);
     if (s.file)
         std::fclose(s.file);
+    s.file = nullptr;
+    if (path.empty())
+        return;
     s.file = std::fopen(path.c_str(), "ab");
     if (!s.file)
         fatal("cannot open event log '%s': %s", path.c_str(),
@@ -221,7 +226,7 @@ emit(Level level, const std::string &code,
     static telemetry::Counter &m_events =
         telemetry::counter("hbbp_events_total");
     m_events.add();
-    std::string line = "{\"ts_ms\":" + std::to_string(wallMs()) +
+    std::string line = "{\"ts_us\":" + std::to_string(wallUs()) +
                        ",\"level\":\"" + name(level) + "\",\"code\":\"" +
                        jsonEscape(code) + "\",\"node\":\"" +
                        jsonEscape(s.node) + "\",\"fields\":{";
@@ -259,11 +264,15 @@ parseEventLine(const std::string &line, Event *out, std::string *why)
             *why = "malformed member key";
             return false;
         }
-        if (key == "ts_ms") {
-            if (!parseJsonNumber(c, &out->ts_ms)) {
-                *why = "malformed ts_ms";
+        if (key == "ts_us" || key == "ts_ms") {
+            // ts_ms is the stamp older builds wrote.
+            uint64_t scale = key == "ts_ms" ? 1000 : 1;
+            if (!parseJsonNumber(c, &out->ts_us) ||
+                out->ts_us > UINT64_MAX / scale) {
+                *why = format("malformed %s", key.c_str());
                 return false;
             }
+            out->ts_us *= scale;
             have_ts = true;
         } else if (key == "level") {
             std::string level_name;
@@ -317,12 +326,14 @@ parseEventLine(const std::string &line, Event *out, std::string *why)
             }
         }
     }
-    if (!c.eat('}')) {
-        *why = "record does not end with '}'";
+    c.eat('}'); // The member loop only ends at the closing brace.
+    c.skipWs();
+    if (c.i != line.size()) {
+        *why = "trailing bytes after the record";
         return false;
     }
     if (!have_ts || !have_code || !have_level) {
-        *why = "record misses ts_ms, level or code";
+        *why = "record misses ts_us, level or code";
         return false;
     }
     return true;
@@ -359,7 +370,7 @@ loadEvents(const std::string &path, const std::string &code,
         }
         if (!code.empty() && e.code != code)
             continue;
-        if (e.ts_ms < since_ms)
+        if (e.ts_us / 1000 < since_ms)
             continue;
         out->push_back(std::move(e));
     }

@@ -1,17 +1,20 @@
 /**
  * @file
- * Structured, stable-coded JSONL event log — the fleet's flight
- * recorder for exceptional paths.
+ * Structured, stable-coded JSONL event log — the fleet's one record
+ * stream, for exceptional paths and shard-lifecycle trace spans alike.
  *
  * warn() tells a human that something odd happened; this log tells a
  * machine *what*. Every exceptional path a daemon takes — a rejected
  * shard, a superseded partial, a transport retry, a gc eviction, a
  * watchdog stall, a stale federation child — emits one event with a
- * wall-clock timestamp, a severity level, a *stable code* (grep/alert
- * keys that never change meaning once shipped) and flat key=value
- * fields. One JSON object per line, flushed per line, append-only, so
- * daemons across a machine can share one file and `tail -f` always
- * sees whole records.
+ * wall-clock microsecond timestamp, a severity level, a *stable code*
+ * (grep/alert keys that never change meaning once shipped) and flat
+ * key=value fields. One JSON object per line, flushed per line,
+ * append-only, so processes across a machine can share one file and
+ * `tail -f` always sees whole records:
+ *
+ *   {"ts_us":<wall-clock us>,"level":"info","code":"root_fold",
+ *    "node":"root","fields":{"trace":"h1-0-...","from":"relay1"}}
  *
  * The stable code table (also in README.md — extend, never repurpose):
  *
@@ -24,10 +27,21 @@
  *   child_stale      warn   federation scrape of a child failed
  *   child_recovered  info   a stale federation child answered again
  *
+ * Shard-lifecycle trace spans are info events whose `trace` field
+ * names the trace (ids are minted by shardTraceId() in fleet/manifest;
+ * a query's is `query-<node>-<seq>`):
+ *
+ *   push_start       info   collector starts a push (seq, chunks)
+ *   push_acked       info   collector's push acked (attempts, duplicate)
+ *   relay_accept     info   relay folded a traced shard
+ *   relay_flush      info   relay pushes it upstream (aggregate)
+ *   root_fold        info   root folded it (from)
+ *   query_serve      info   daemon served a query (verb, epoch, cached)
+ *
  * The process-wide sink is openLog(); an unopened log makes emit() a
  * no-op, so instrumented sites never check a flag. `hbbp-tool events
  * --from FILE [--code C] [--since T]` reads the other end through
- * loadEvents().
+ * loadEvents(); `| grep -w trace=ID` rebuilds one trace's chain.
  *
  * StallWatchdog is the health plane's active half: a background
  * thread that watches the telemetry stage heartbeats and emits
@@ -61,7 +75,7 @@ bool levelFromName(const std::string &s, Level *out);
 /** One event record, as emitted or as parsed back from a log. */
 struct Event
 {
-    uint64_t ts_ms = 0; ///< Wall-clock milliseconds since the epoch.
+    uint64_t ts_us = 0; ///< Wall-clock microseconds since the epoch.
     Level level = Level::Info;
     std::string code; ///< Stable machine code (see the table above).
     std::string node; ///< Emitting daemon's id.
@@ -70,14 +84,17 @@ struct Event
     /** The field's value, or "" when absent. */
     std::string field(const std::string &key) const;
 
-    /** One human-readable line (what `hbbp-tool events` prints). */
+    /**
+     * One human-readable line (what `hbbp-tool events` prints),
+     * stamped in milliseconds like --since.
+     */
     std::string render() const;
 };
 
 /**
  * Open the process-wide event log for appending and tag every record
- * with @p node. An empty path leaves the log disabled. fatal()s when
- * the file cannot be opened.
+ * with @p node, closing any log opened before. An empty path leaves
+ * the log closed. fatal()s when the file cannot be opened.
  */
 void openLog(const std::string &path, const std::string &node);
 
@@ -92,15 +109,19 @@ void emit(Level level, const std::string &code,
           std::initializer_list<std::pair<std::string, std::string>>
               fields);
 
-/** Parse one JSONL record; false with *@p why set on malformed. */
+/**
+ * Parse one JSONL record; false with *@p why set on malformed input,
+ * including bytes after the closing brace. A legacy `ts_ms` stamp is
+ * read as milliseconds.
+ */
 bool parseEventLine(const std::string &line, Event *out,
                     std::string *why);
 
 /**
- * Load @p path and keep events matching @p code (empty = all) with
- * ts_ms >= @p since_ms (0 = all). Malformed lines fail the load —
- * a corrupt flight recorder must be loud. Returns false with *@p why
- * set on I/O or parse errors.
+ * Load @p path and keep events matching @p code (empty = all) stamped
+ * at or after @p since_ms milliseconds (0 = all). Malformed lines
+ * fail the load — a corrupt flight recorder must be loud. Returns
+ * false with *@p why set on I/O or parse errors.
  */
 bool loadEvents(const std::string &path, const std::string &code,
                 uint64_t since_ms, std::vector<Event> *out,

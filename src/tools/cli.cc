@@ -40,8 +40,8 @@
  *
  * The three daemons are one FleetNode (fleet/node.hh) each, and share
  * the daemon options (--bind/--port-file/--state/--store/--expect/
- * --timeout-ms/--metrics-port/--metrics-port-file/--trace-log/
- * --event-log/--stall-warn-s). Every listening daemon co-hosts the
+ * --timeout-ms/--metrics-port/--metrics-port-file/--event-log/
+ * --stall-warn-s). Every listening daemon co-hosts the
  * shard listener (collectors keep pushing to the same port) and the
  * hbbp-query/1 endpoint, answering mix/report/fdo/hosts/status
  * queries over the aggregate it holds with per-epoch result caching;
@@ -112,6 +112,7 @@ usage()
                  "(--to HOST:PORT | --export-dir DIR)\n"
                  "                 [--seq N] [--chunks N] [--retries N] "
                  "[--jobs N] [-o <profile>]\n"
+                 "                 [--event-log FILE]\n"
                  "       hbbp-tool aggregate (--watch-dir DIR | "
                  "--listen PORT) [-o <profile>]\n"
                  "                 [--analyze <workload>] "
@@ -127,7 +128,7 @@ usage()
                  "                 [--store DIR] [--expect N] "
                  "[--timeout-ms N] [--metrics-port N]\n"
                  "                 [--metrics-port-file FILE] "
-                 "[--trace-log FILE] [--event-log FILE]\n"
+                 "[--event-log FILE]\n"
                  "                 [--stall-warn-s N]; listening "
                  "daemons answer query)\n"
                  "       hbbp-tool query --from HOST:PORT "
@@ -397,6 +398,7 @@ cmdPush(const PushOptions &opts)
     if (opts.chunks == 0)
         fatal("--chunks must be >= 1");
     Workload w = requireWorkloadByName(opts.workload);
+    events::openLog(opts.event_log, "collector:" + opts.host);
     CollectorConfig cc = collectorConfigFor(w);
     cc.seed = hostStreamSeed(cc.seed, opts.host, opts.seq);
     cc.pmu.seed = hostStreamSeed(cc.pmu.seed ^ 0x5851f42d4c957f2dULL,
@@ -433,20 +435,20 @@ cmdPush(const PushOptions &opts)
     if (!opts.profile_out.empty())
         merged.save(opts.profile_out);
 
-    // Tracing is opt-in: it stamps the shard's trace id into the
-    // manifest (so relays and the root can attribute it), and an
-    // unstamped push keeps the exact pre-tracing manifest bytes.
-    telemetry::TraceLog trace;
+    // Tracing comes with the event log: it stamps the shard's trace id
+    // into the manifest (so relays and the root can attribute it), and
+    // an unstamped push keeps the exact pre-tracing manifest bytes.
     std::string trace_id;
-    if (!opts.trace_log.empty()) {
-        trace.open(opts.trace_log, "collector:" + opts.host);
+    if (events::logActive()) {
         trace_id = shardTraceId(manifest);
         manifest.trace_ids.push_back(trace_id);
     }
 
     SendResult res;
-    trace.span("push_start", trace_id,
-               format("seq=%u chunks=%zu", opts.seq, chunks.size()));
+    events::emit(events::Level::Info, "push_start",
+                 {{"trace", trace_id},
+                  {"seq", std::to_string(opts.seq)},
+                  {"chunks", std::to_string(chunks.size())}});
     if (!opts.to.empty()) {
         SocketTransportOptions so;
         parseHostPort(opts.to, "--to", &so.host, &so.port);
@@ -460,9 +462,10 @@ cmdPush(const PushOptions &opts)
     }
     if (!res.ok)
         fatal("push failed: %s", res.error.c_str());
-    trace.span("push_acked", trace_id,
-               format("attempts=%d%s", res.attempts,
-                      res.duplicate ? " duplicate" : ""));
+    events::emit(events::Level::Info, "push_acked",
+                 {{"trace", trace_id},
+                  {"attempts", std::to_string(res.attempts)},
+                  {"duplicate", res.duplicate ? "1" : "0"}});
 
     std::printf("pushed shard host=%s seq=%u workload=%s "
                 "checksum=%016llx (%zu chunk%s, %d attempt%s%s) "
@@ -494,7 +497,6 @@ nodeOptions(const DaemonOptions &d, std::string id,
     no.idle_timeout_ms = d.timeout_ms;
     no.state_file = d.state_file;
     no.store_dir = d.store_dir;
-    no.trace_log = d.trace_log;
     no.metrics_endpoint = obs.endpoint;
     no.federator = obs.federator.get();
     return no;

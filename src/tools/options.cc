@@ -228,7 +228,6 @@ addDaemonFlags(ArgParser &parser, DaemonOptions *opts)
                  static_cast<uint64_t>(INT_MAX));
     parser.count("--metrics-port", &opts->metrics_port, UINT16_MAX);
     parser.value("--metrics-port-file", &opts->metrics_port_file);
-    parser.value("--trace-log", &opts->trace_log);
     parser.value("--event-log", &opts->event_log);
     parser.number("--stall-warn-s", &opts->stall_warn_s);
 }
@@ -295,7 +294,7 @@ PushOptions::parse(int argc, char **argv)
     p.value("--to", &opts.to);
     p.value("--export-dir", &opts.export_dir);
     p.value("-o", &opts.profile_out);
-    p.value("--trace-log", &opts.trace_log);
+    p.value("--event-log", &opts.event_log);
     p.count("--seq", &opts.seq, UINT32_MAX);
     p.count("--chunks", &opts.chunks, UINT32_MAX);
     p.count("--retries", &opts.retries,

@@ -145,8 +145,7 @@ struct DaemonOptions
     int timeout_ms = 10'000;
     int metrics_port = -1; ///< -1 = off.
     std::string metrics_port_file;
-    std::string trace_log;
-    /** Structured JSONL event log (support/events); empty = off. */
+    /** JSONL event log (support/events), spans included; empty = off. */
     std::string event_log;
     /** Watchdog: warn when a loop stage stalls this long; 0 = off. */
     double stall_warn_s = 0.0;
@@ -154,8 +153,8 @@ struct DaemonOptions
 
 /**
  * Registers --listen/--bind/--port-file/--state/--store/--expect/
- * --timeout-ms/--metrics-port/--metrics-port-file/--trace-log/
- * --event-log/--stall-warn-s: every flag the three daemons share,
+ * --timeout-ms/--metrics-port/--metrics-port-file/--event-log/
+ * --stall-warn-s: every flag the three daemons share,
  * because each one is a FleetNode (fleet/node.hh) under a different
  * name. --state always journals (StateJournal's default compaction
  * threshold); --store deposits every arrival, pinned until durable.
@@ -210,7 +209,8 @@ struct PushOptions
     std::string to;
     std::string export_dir;
     std::string profile_out;
-    std::string trace_log;
+    /** JSONL event log; opening one also stamps the shard's trace id. */
+    std::string event_log;
     uint32_t seq = 0;
     uint32_t chunks = 1;
     int retries = 5;
@@ -266,7 +266,8 @@ struct EventsOptions
 {
     std::string from;      ///< Event-log file to read.
     std::string code;      ///< Keep only this stable code; "" = all.
-    uint64_t since_ms = 0; ///< Keep only ts_ms >= this; 0 = all.
+    uint64_t since_ms = 0; ///< Keep only events stamped at or after
+                           ///< this wall-clock ms; 0 = all.
 
     static EventsOptions parse(int argc, char **argv);
 };

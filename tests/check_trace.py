@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Assert a complete shard-lifecycle trace in a --trace-log JSONL file.
+"""Assert a complete shard-lifecycle trace in an --event-log JSONL file.
 
-Usage: check_trace.py <trace.jsonl> <host> [--serve] [--query-trace ID]
+Usage: check_trace.py <events.jsonl> <host> [--serve] [--query-trace ID]
 
-Finds the trace id stamped by `push --host <host>` and checks that its
+Trace spans are info events whose code is the span name and whose
+fields carry trace=<id>; other events in the file are skipped. Finds
+the trace id stamped by `push --host <host>` and checks that its
 span records reconstruct the full collector -> relay -> root chain
 (push_start, push_acked, relay_accept, relay_flush, root_fold) with
 monotonic wall-clock timestamps along the lifecycle. Used by
@@ -22,6 +24,10 @@ import json
 import sys
 
 
+SPAN_CODES = {"push_start", "push_acked", "relay_accept", "relay_flush",
+              "root_fold", "query_serve"}
+
+
 def load_traces(path):
     """trace id -> span name -> list of records."""
     traces = {}
@@ -34,11 +40,17 @@ def load_traces(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 sys.exit(f"{path}:{lineno}: invalid JSON: {e}")
-            for key in ("ts_us", "node", "span", "trace"):
+            for key in ("ts_us", "level", "node", "code", "fields"):
                 if key not in rec:
                     sys.exit(f"{path}:{lineno}: missing key '{key}'")
-            traces.setdefault(rec["trace"], {}).setdefault(
-                rec["span"], []).append(rec)
+            if rec["code"] not in SPAN_CODES:
+                continue
+            trace = rec["fields"].get("trace")
+            if not trace or rec["level"] != "info":
+                sys.exit(f"{path}:{lineno}: span '{rec['code']}' is not "
+                         f"an info event with a trace field")
+            traces.setdefault(trace, {}).setdefault(
+                rec["code"], []).append(rec)
     return traces
 
 

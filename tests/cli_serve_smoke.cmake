@@ -11,7 +11,7 @@
 #   repeated identical query must come back `cached=1` with identical
 #   bytes, and a `shutdown` query must stop the daemon cleanly.
 #
-#   The daemon and the hostA collector share one --trace-log: every
+#   The daemon and the hostA collector share one --event-log: every
 #   query reply must carry per-stage `timing` metadata, and the served
 #   query's trace span must join onto hostA's ingestion chain
 #   (push_start -> push_acked -> root_fold -> query_serve), checked by
@@ -54,7 +54,7 @@ q() { # q <name> <verb> [extra args...] -- query, split payload/meta
         > \"$dir/$name.out\" 2> \"$dir/$name.meta\"
 }
 \"$tool\" serve --listen 0 --port-file \"$dir/port\" \\
-    --trace-log \"$dir/trace.jsonl\" \\
+    --event-log \"$dir/trace.jsonl\" \\
     > \"$dir/serve.log\" 2>&1 &
 servepid=$!
 i=0
@@ -87,7 +87,7 @@ storm & stormpid=$!
 
 # Shards arrive mid-storm; after each wave the epoch must have moved.
 \"$tool\" push test40 --host hostA --to 127.0.0.1:$port --chunks 2 \\
-    --retries 20 --trace-log \"$dir/trace.jsonl\" \\
+    --retries 20 --event-log \"$dir/trace.jsonl\" \\
     -o \"$dir/a.profile\" > \"$dir/pushA.log\" 2>&1 || exit 1
 q epoch1 status || exit 1
 \"$tool\" push test40 --host hostB --to 127.0.0.1:$port --chunks 3 \\

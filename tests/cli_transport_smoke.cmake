@@ -14,6 +14,10 @@
 #   cached partials (restored=2 in the import-count stats, only hostC
 #   is newly imported) and produces the same bytes again.
 #
+#   Phase 3: a push with --event-log to a closed port fails after its
+#   retries, and the log records what happened: the push_start span,
+#   one push_retry event, and no push_acked span.
+#
 # Invoked as:
 #   cmake -DHBBP_TOOL=<hbbp-tool> -DWORK_DIR=<scratch dir> \
 #         -P cli_transport_smoke.cmake
@@ -176,4 +180,32 @@ if(differs2)
     message(FATAL_ERROR "resumed aggregate is not byte-identical to the single-run merge")
 endif()
 
-message(STATUS "transport smoke OK: 3 concurrent pushes (one crash + retry) -> byte-identical aggregate; kill -9 + --state resume -> same bytes")
+# --- phase 3: a failed push records its retries ----------------------------
+# Phase 1's aggregator has exited, so nothing listens on its port. With
+# --retries 2 the push connects twice, backing off once in between.
+file(READ "${WORK_DIR}/port1" closed_port)
+string(STRIP "${closed_port}" closed_port)
+execute_process(COMMAND "${HBBP_TOOL}" push test40 --host hostR
+    --to 127.0.0.1:${closed_port} --retries 2
+    --event-log "${WORK_DIR}/retry.events"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+    message(FATAL_ERROR "push to a closed port succeeded: ${out}${err}")
+endif()
+foreach(code push_retry push_start push_acked)
+    execute_process(COMMAND "${HBBP_TOOL}" events
+        --from "${WORK_DIR}/retry.events" --code ${code}
+        RESULT_VARIABLE rc OUTPUT_VARIABLE ev_out ERROR_VARIABLE ev_err)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "events --code ${code} failed: ${ev_out}${ev_err}")
+    endif()
+    string(REGEX MATCHALL " ${code} node=collector:hostR " hits "${ev_out}")
+    list(LENGTH hits n_${code})
+endforeach()
+if(NOT n_push_retry EQUAL 1 OR NOT n_push_start EQUAL 1
+        OR NOT n_push_acked EQUAL 0)
+    message(FATAL_ERROR "expected 1 push_retry, 1 push_start and no "
+        "push_acked, got ${n_push_retry}/${n_push_start}/${n_push_acked}")
+endif()
+
+message(STATUS "transport smoke OK: 3 concurrent pushes (one crash + retry) -> byte-identical aggregate; kill -9 + --state resume -> same bytes; failed push logged one push_retry")

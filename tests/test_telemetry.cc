@@ -4,7 +4,8 @@
  * sharding under concurrency, histogram bucket edges, deterministic
  * snapshot bytes), the --metrics-port HTTP endpoint, shard-lifecycle
  * trace ids in the manifest (including v1 byte compatibility), the
- * JSONL trace log, and the warn() rate limiter.
+ * JSONL event log that also carries trace spans, and the warn() rate
+ * limiter.
  */
 
 #include <gtest/gtest.h>
@@ -308,56 +309,6 @@ TEST(TraceId, MalformedTraceValuesRejected)
     }
 }
 
-TEST(TraceLog, AppendsJsonlSpans)
-{
-    std::string path = testing::TempDir() + "/trace_log_test.jsonl";
-    std::remove(path.c_str());
-    {
-        telemetry::TraceLog log;
-        log.open(path, "unit");
-        log.span("push_start", "h1-0-abc", "seq=0");
-        log.span("push_acked", "h1-0-abc");
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::vector<std::string> lines;
-    while (std::getline(in, line))
-        lines.push_back(line);
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_NE(lines[0].find("\"node\":\"unit\""), std::string::npos);
-    EXPECT_NE(lines[0].find("\"span\":\"push_start\""),
-              std::string::npos);
-    EXPECT_NE(lines[0].find("\"trace\":\"h1-0-abc\""),
-              std::string::npos);
-    EXPECT_NE(lines[0].find("\"detail\":\"seq=0\""), std::string::npos);
-    EXPECT_EQ(lines[0].find("\"ts_us\":"), 1u);
-    // No detail key when the detail is empty.
-    EXPECT_EQ(lines[1].find("\"detail\""), std::string::npos);
-}
-
-TEST(TraceLog, InactiveLogIsANoOp)
-{
-    telemetry::TraceLog log;
-    EXPECT_FALSE(log.active());
-    log.span("whatever", "id"); // must not crash or create files
-}
-
-TEST(TraceLog, EscapesJsonMetacharacters)
-{
-    std::string path = testing::TempDir() + "/trace_log_escape.jsonl";
-    std::remove(path.c_str());
-    telemetry::TraceLog log;
-    log.open(path, "unit");
-    log.span("s", "id", "quote\" back\\slash\ttab");
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_NE(line.find("quote\\\" back\\\\slash\\u0009tab"),
-              std::string::npos)
-        << line;
-}
-
 TEST(WarnRateLimiter, BurstThenSuppress)
 {
     WarnRateLimiter rl(/*burst=*/2, /*interval_ms=*/1000);
@@ -639,18 +590,27 @@ TEST(Events, EmitLoadRoundTripAndFilters)
     std::remove(log.c_str());
     events::openLog(log, "nodeX");
     events::emit(events::Level::Warn, "shard_reject",
-                 {{"reason", "bad \"quote\""}});
+                 {{"reason", "quote\" back\\slash\ttab"}});
     events::emit(events::Level::Info, "store_gc_evict",
                  {{"checksum", "00ff"}});
+    // A trace span is an info event whose fields carry trace=<id>.
+    events::emit(events::Level::Info, "push_start",
+                 {{"trace", "h1-0-abc"}, {"seq", "0"}, {"chunks", "2"}});
     std::vector<events::Event> all;
     std::string why;
     ASSERT_TRUE(events::loadEvents(log, "", 0, &all, &why)) << why;
-    ASSERT_EQ(all.size(), 2u);
+    ASSERT_EQ(all.size(), 3u);
     EXPECT_EQ(all[0].code, "shard_reject");
     EXPECT_EQ(all[0].level, events::Level::Warn);
     EXPECT_EQ(all[0].node, "nodeX");
-    EXPECT_EQ(all[0].field("reason"), "bad \"quote\"");
-    EXPECT_GT(all[0].ts_ms, 0u);
+    EXPECT_EQ(all[0].field("reason"), "quote\" back\\slash\ttab");
+    EXPECT_GT(all[0].ts_us, 0u);
+    EXPECT_LE(all[0].ts_us, all[2].ts_us);
+    EXPECT_EQ(all[2].code, "push_start");
+    using Fields = std::vector<std::pair<std::string, std::string>>;
+    EXPECT_EQ(all[2].fields, (Fields{{"trace", "h1-0-abc"},
+                                     {"seq", "0"},
+                                     {"chunks", "2"}}));
     std::vector<events::Event> evict;
     ASSERT_TRUE(
         events::loadEvents(log, "store_gc_evict", 0, &evict, &why))
@@ -658,32 +618,61 @@ TEST(Events, EmitLoadRoundTripAndFilters)
     ASSERT_EQ(evict.size(), 1u);
     EXPECT_EQ(evict[0].level, events::Level::Info);
     std::vector<events::Event> none;
-    ASSERT_TRUE(events::loadEvents(log, "", all[1].ts_ms + 60'000,
+    ASSERT_TRUE(events::loadEvents(log, "", all[2].ts_us / 1000 + 60'000,
                                    &none, &why))
         << why;
     EXPECT_TRUE(none.empty());
+
+    // An empty path closes the sink: later emits write nothing.
     events::openLog("", "");
+    EXPECT_FALSE(events::logActive());
+    events::emit(events::Level::Info, "push_start", {{"trace", "late"}});
+
+    // A line an older build wrote, stamped in ms, still loads.
+    {
+        std::ofstream out(log, std::ios::app);
+        out << "{\"ts_ms\":1234,\"level\":\"info\",\"code\":\"old\","
+               "\"node\":\"n\",\"fields\":{}}\n";
+    }
+    std::vector<events::Event> reread;
+    ASSERT_TRUE(events::loadEvents(log, "", 0, &reread, &why)) << why;
+    ASSERT_EQ(reread.size(), 4u);
+    EXPECT_EQ(reread[3].code, "old");
+    EXPECT_EQ(reread[3].ts_us, 1'234'000u);
+    std::vector<events::Event> since;
+    ASSERT_TRUE(events::loadEvents(log, "old", 1234, &since, &why));
+    EXPECT_EQ(since.size(), 1u);
+    since.clear();
+    ASSERT_TRUE(events::loadEvents(log, "old", 1235, &since, &why));
+    EXPECT_TRUE(since.empty());
 }
 
 TEST(Events, MalformedLinesFailTheLoadLoudly)
 {
     std::string log = testing::TempDir() + "/events_malformed.jsonl";
-    {
-        std::ofstream out(log, std::ios::trunc);
-        out << "{\"ts_ms\":1,\"level\":\"warn\",\"code\":\"x\","
-               "\"node\":\"n\",\"fields\":{}}\n"
-            << "not json\n";
+    const std::string good = "{\"ts_us\":1,\"level\":\"warn\","
+                             "\"code\":\"x\",\"node\":\"n\",\"fields\":{}}";
+    // A \u escape above 0x7f would need UTF-8 encoding the writer
+    // never produces; the reader refuses it rather than truncate it.
+    std::string wide = good;
+    wide.replace(wide.find("{}"), 2, "{\"k\":\"\\u00e9\"}");
+    for (const std::string &bad :
+         {std::string("not json"), good + "garbage", good + "}", wide}) {
+        {
+            std::ofstream out(log, std::ios::trunc);
+            out << good << " \n" << bad << "\n";
+        }
+        std::vector<events::Event> evs;
+        std::string why;
+        EXPECT_FALSE(events::loadEvents(log, "", 0, &evs, &why)) << bad;
+        EXPECT_NE(why.find(":2:"), std::string::npos) << why;
     }
-    std::vector<events::Event> evs;
-    std::string why;
-    EXPECT_FALSE(events::loadEvents(log, "", 0, &evs, &why));
-    EXPECT_NE(why.find(":2:"), std::string::npos) << why;
 }
 
 TEST(Events, RenderIsOneGreppableLine)
 {
     events::Event e;
-    e.ts_ms = 42;
+    e.ts_us = 42'999;
     e.level = events::Level::Error;
     e.code = "watchdog_stall";
     e.node = "relay-1";
