@@ -309,6 +309,83 @@ TEST(TraceId, MalformedTraceValuesRejected)
     }
 }
 
+// A trace span is an info event whose fields carry trace=<id>; these
+// cover spans written through the one event sink.
+TEST(TraceLog, AppendsJsonlSpans)
+{
+    std::string path = testing::TempDir() + "/trace_log_test.jsonl";
+    std::remove(path.c_str());
+    events::openLog(path, "unit");
+    events::emit(events::Level::Info, "push_start",
+                 {{"trace", "h1-0-abc"}, {"seq", "0"}, {"chunks", "2"}});
+    events::emit(events::Level::Info, "push_acked", {{"trace", "h1-0-abc"}});
+    events::openLog("", "");
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::string line;
+    std::vector<std::string> lines;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_NE(lines[0].find("\"node\":\"unit\""), std::string::npos);
+    EXPECT_NE(lines[0].find("\"code\":\"push_start\""), std::string::npos);
+    EXPECT_NE(lines[0].find("\"level\":\"info\""), std::string::npos);
+    EXPECT_NE(lines[0].find("\"trace\":\"h1-0-abc\""), std::string::npos);
+    EXPECT_EQ(lines[0].find("\"ts_us\":"), 1u);
+    // No detail key: former detail strings are structured fields.
+    EXPECT_EQ(lines[0].find("\"detail\""), std::string::npos);
+
+    std::vector<events::Event> spans;
+    std::string why;
+    ASSERT_TRUE(events::loadEvents(path, "", 0, &spans, &why)) << why;
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(spans[0].code, "push_start");
+    EXPECT_LE(spans[0].ts_us, spans[1].ts_us);
+    using Fields = std::vector<std::pair<std::string, std::string>>;
+    EXPECT_EQ(spans[0].fields, (Fields{{"trace", "h1-0-abc"},
+                                       {"seq", "0"},
+                                       {"chunks", "2"}}));
+    EXPECT_EQ(spans[1].code, "push_acked");
+    EXPECT_EQ(spans[1].fields, (Fields{{"trace", "h1-0-abc"}}));
+}
+
+TEST(TraceLog, InactiveLogIsANoOp)
+{
+    std::string path = testing::TempDir() + "/trace_log_inactive.jsonl";
+    std::remove(path.c_str());
+    events::openLog(path, "unit");
+    events::emit(events::Level::Info, "push_start", {{"trace", "early"}});
+    // An empty path closes the sink: later spans write nothing.
+    events::openLog("", "");
+    EXPECT_FALSE(events::logActive());
+    events::emit(events::Level::Info, "push_start", {{"trace", "late"}});
+    std::vector<events::Event> spans;
+    std::string why;
+    ASSERT_TRUE(events::loadEvents(path, "", 0, &spans, &why)) << why;
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].field("trace"), "early");
+}
+
+TEST(TraceLog, EscapesJsonMetacharacters)
+{
+    std::string path = testing::TempDir() + "/trace_log_escape.jsonl";
+    std::remove(path.c_str());
+    events::openLog(path, "unit");
+    events::emit(events::Level::Info, "s",
+                 {{"trace", "id"}, {"detail", "quote\" back\\slash\ttab"}});
+    events::openLog("", "");
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_NE(line.find("quote\\\" back\\\\slash\\ttab"), std::string::npos)
+        << line;
+    std::vector<events::Event> spans;
+    std::string why;
+    ASSERT_TRUE(events::loadEvents(path, "", 0, &spans, &why)) << why;
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].field("detail"), "quote\" back\\slash\ttab");
+}
+
 TEST(WarnRateLimiter, BurstThenSuppress)
 {
     WarnRateLimiter rl(/*burst=*/2, /*interval_ms=*/1000);
@@ -590,27 +667,19 @@ TEST(Events, EmitLoadRoundTripAndFilters)
     std::remove(log.c_str());
     events::openLog(log, "nodeX");
     events::emit(events::Level::Warn, "shard_reject",
-                 {{"reason", "quote\" back\\slash\ttab"}});
+                 {{"reason", "bad \"quote\""}});
     events::emit(events::Level::Info, "store_gc_evict",
                  {{"checksum", "00ff"}});
-    // A trace span is an info event whose fields carry trace=<id>.
-    events::emit(events::Level::Info, "push_start",
-                 {{"trace", "h1-0-abc"}, {"seq", "0"}, {"chunks", "2"}});
     std::vector<events::Event> all;
     std::string why;
     ASSERT_TRUE(events::loadEvents(log, "", 0, &all, &why)) << why;
-    ASSERT_EQ(all.size(), 3u);
+    ASSERT_EQ(all.size(), 2u);
     EXPECT_EQ(all[0].code, "shard_reject");
     EXPECT_EQ(all[0].level, events::Level::Warn);
     EXPECT_EQ(all[0].node, "nodeX");
-    EXPECT_EQ(all[0].field("reason"), "quote\" back\\slash\ttab");
+    EXPECT_EQ(all[0].field("reason"), "bad \"quote\"");
     EXPECT_GT(all[0].ts_us, 0u);
-    EXPECT_LE(all[0].ts_us, all[2].ts_us);
-    EXPECT_EQ(all[2].code, "push_start");
-    using Fields = std::vector<std::pair<std::string, std::string>>;
-    EXPECT_EQ(all[2].fields, (Fields{{"trace", "h1-0-abc"},
-                                     {"seq", "0"},
-                                     {"chunks", "2"}}));
+    EXPECT_LE(all[0].ts_us, all[1].ts_us);
     std::vector<events::Event> evict;
     ASSERT_TRUE(
         events::loadEvents(log, "store_gc_evict", 0, &evict, &why))
@@ -618,15 +687,11 @@ TEST(Events, EmitLoadRoundTripAndFilters)
     ASSERT_EQ(evict.size(), 1u);
     EXPECT_EQ(evict[0].level, events::Level::Info);
     std::vector<events::Event> none;
-    ASSERT_TRUE(events::loadEvents(log, "", all[2].ts_us / 1000 + 60'000,
+    ASSERT_TRUE(events::loadEvents(log, "", all[1].ts_us / 1000 + 60'000,
                                    &none, &why))
         << why;
     EXPECT_TRUE(none.empty());
-
-    // An empty path closes the sink: later emits write nothing.
     events::openLog("", "");
-    EXPECT_FALSE(events::logActive());
-    events::emit(events::Level::Info, "push_start", {{"trace", "late"}});
 
     // A line an older build wrote, stamped in ms, still loads.
     {
@@ -636,9 +701,9 @@ TEST(Events, EmitLoadRoundTripAndFilters)
     }
     std::vector<events::Event> reread;
     ASSERT_TRUE(events::loadEvents(log, "", 0, &reread, &why)) << why;
-    ASSERT_EQ(reread.size(), 4u);
-    EXPECT_EQ(reread[3].code, "old");
-    EXPECT_EQ(reread[3].ts_us, 1'234'000u);
+    ASSERT_EQ(reread.size(), 3u);
+    EXPECT_EQ(reread[2].code, "old");
+    EXPECT_EQ(reread[2].ts_us, 1'234'000u);
     std::vector<events::Event> since;
     ASSERT_TRUE(events::loadEvents(log, "old", 1234, &since, &why));
     EXPECT_EQ(since.size(), 1u);
