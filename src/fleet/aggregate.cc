@@ -404,13 +404,15 @@ IncrementalAggregator::hostProgress() const
 }
 
 PartialExport
-IncrementalAggregator::exportPartials() const
+IncrementalAggregator::exportPartials(
+    const std::map<std::string, uint32_t> &acked) const
 {
     PartialExport ex;
     ex.workload = workload_;
     std::optional<ProfileData> fold;
     for (const auto &[host, hs] : hosts_) {
-        if (hs.partial) {
+        auto it = acked.find(host);
+        if (hs.partial && (it == acked.end() || hs.next_seq > it->second)) {
             HostPartial hp;
             hp.host = host;
             hp.covered = hs.next_seq;

@@ -217,8 +217,16 @@ class IncrementalAggregator
      * any pending out-of-order leaf shards re-serialized for verbatim
      * forwarding. Empty partials and orphans when nothing has been
      * accepted.
+     *
+     * @p acked maps host -> coverage the receiver already holds; a
+     * host whose folded prefix has not grown past it is left out of
+     * the partials and the checksum. A relay passes what upstream
+     * acknowledged, so a flush ships only the hosts that advanced
+     * (the receiver splices per host, so a subset is a valid
+     * aggregate). The default exports every host.
      */
-    PartialExport exportPartials() const;
+    PartialExport
+    exportPartials(const std::map<std::string, uint32_t> &acked = {}) const;
 
     /** Count a shard the transport rejected before addShard() ran. */
     void noteMalformed() { stats_.malformed++; }

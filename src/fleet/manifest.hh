@@ -111,8 +111,9 @@ struct ShardManifest
      * Optional shard-lifecycle trace ids (see shardTraceId()). A
      * collector that pushes with --event-log stamps its leaf shard
      * with one id; relays stamp their aggregates with the sorted
-     * union of every stamped id they folded, so a root can attribute
-     * an arriving aggregate to the leaf shards inside it. Rendered as
+     * union of the stamped ids they folded since their last
+     * acknowledged flush, so a root can attribute an arriving
+     * aggregate to the leaf shards new in it. Rendered as
      * a trailing `trace=` line only when non-empty — unstamped leaf
      * manifests stay byte-identical to the frozen version-1 text, and
      * older parsers skip the key entirely (unknown keys are ignored).

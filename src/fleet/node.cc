@@ -104,7 +104,7 @@ FleetNode::commit(const ShardManifest &m, const ProfileData *profile,
         if (isRelay()) {
             events::emit(events::Level::Info, "relay_accept",
                          {{"trace", id}});
-            seen_trace_ids_.insert(id);
+            unflushed_trace_ids_.insert(id);
         } else {
             events::emit(events::Level::Info, "root_fold",
                          {{"trace", id}, {"from", m.host}});
@@ -137,24 +137,34 @@ FleetNode::commit(const ShardManifest &m, const ProfileData *profile,
         if (pinned)
             pin_->unpin(m.checksum); // Durable in the state now.
     }
+    // Only mark the flush: the listener writes this arrival's ack
+    // first, and flushIfDue() runs it on the next poll round.
     accepted_since_flush_++;
     if (isRelay() && options_.flush_every > 0 &&
-        accepted_since_flush_ >= options_.flush_every) {
-        std::string why;
-        // A failed flush is buffering, not an error: the partial stays
-        // here and the next trigger (or the final flush) retries a
-        // strictly fresher superset of it. One attempt only — this
-        // runs before the downstream ack, and a dead upstream must not
-        // turn accepts into retry loops that time senders out.
-        if (!flushUpstream(&why, /*max_attempts=*/1))
-            warn("upstream flush failed, buffering: %s", why.c_str());
-    }
+        accepted_since_flush_ >= options_.flush_every)
+        flush_due_ = true;
+}
+
+void
+FleetNode::flushIfDue()
+{
+    if (!flush_due_)
+        return;
+    flush_due_ = false;
+    std::string why;
+    // A failed flush is buffering, not an error: the hosts it carried
+    // stay unacked, so the next trigger (or the final flush) ships
+    // them again with whatever advanced since. One attempt only — a
+    // dead upstream must not turn the poll loop into a retry loop
+    // that starves downstream senders.
+    if (!flushUpstream(&why, /*max_attempts=*/1))
+        warn("upstream flush failed, buffering: %s", why.c_str());
 }
 
 bool
 FleetNode::flushUpstream(std::string *why, int max_attempts)
 {
-    PartialExport ex = agg_.exportPartials();
+    PartialExport ex = agg_.exportPartials(acked_coverage_);
     if (ex.partials.empty() && ex.orphans.empty())
         return true;
 
@@ -180,8 +190,7 @@ FleetNode::flushUpstream(std::string *why, int max_attempts)
         return false;
     };
 
-    if (!ex.partials.empty() &&
-        ex.checksum != last_flushed_checksum_) {
+    if (!ex.partials.empty()) {
         ShardManifest m;
         m.version = kManifestVersionAggregate;
         m.host = options_.id;
@@ -191,11 +200,11 @@ FleetNode::flushUpstream(std::string *why, int max_attempts)
         // One level above the deepest input: leaf-only relays export
         // level 1, a relay-of-relays exports one deeper, and so on.
         m.level = agg_.maxLevelSeen() + 1;
-        // The aggregate carries every stamped trace id it folded, so
-        // the next level up (or the root) can attribute the arrival
-        // back to individual collector shards.
-        m.trace_ids.assign(seen_trace_ids_.begin(),
-                           seen_trace_ids_.end());
+        // The aggregate carries the stamped trace ids folded since the
+        // last acked flush, so the next level up (or the root) can
+        // attribute the arrival back to individual collector shards.
+        m.trace_ids.assign(unflushed_trace_ids_.begin(),
+                           unflushed_trace_ids_.end());
         m.metrics_endpoint = options_.metrics_endpoint;
         std::vector<std::string> chunks;
         chunks.reserve(ex.partials.size());
@@ -218,12 +227,14 @@ FleetNode::flushUpstream(std::string *why, int max_attempts)
         SendResult res = transport.sendShard(m, chunks);
         if (!res.ok)
             return failed(res.error);
-        // A duplicate ack means the upstream already holds this exact
+        // A duplicate ack means the upstream already holds this
         // coverage (a retried or restarted flush) — success either way.
         stats_.flushes++;
         m_flushes.add();
         telemetry::beat(telemetry::Stage::Flush);
-        last_flushed_checksum_ = ex.checksum;
+        for (const HostCoverage &hc : m.covered)
+            acked_coverage_[hc.host] = hc.count;
+        unflushed_trace_ids_.clear();
         flush_seq_++;
     }
 
@@ -263,7 +274,12 @@ FleetNode::run()
         lo.on_query = [this](const std::string &body) {
             return endpoint_.handle(body);
         };
-        lo.should_stop = [this] { return endpoint_.stopRequested(); };
+        // Once per poll round, so after the previous round's acks
+        // were written: a due flush never delays a downstream ack.
+        lo.should_stop = [this] {
+            flushIfDue();
+            return endpoint_.stopRequested();
+        };
         stats_.accepted = listener_->serve(agg_, lo);
     } else {
         WatchOptions wo;
@@ -271,6 +287,7 @@ FleetNode::run()
         wo.timeout_ms = options_.idle_timeout_ms;
         wo.on_accept = [this](const ShardManifest &m) {
             commitImport(m);
+            flushIfDue(); // A drop directory has no ack to wait for.
         };
         stats_.accepted =
             watchAndAggregate(agg_, options_.watch_dir, wo);

@@ -21,18 +21,30 @@
  * so the parent splices them into its per-host state and the root
  * aggregate stays byte-identical to flat ingestion of the same leaf
  * shards, whatever the tree shape or arrival order — every
- * `flush_every` arrivals and once more on exit. An unreachable
- * upstream is buffered, never fatal: the relay keeps folding, retries
- * on the next flush trigger, and only the final flush's failure is
- * reported. Leaf shards stranded behind a sequence gap cannot ride
- * inside an aggregate (coverage is a gap-free prefix), so they are
- * forwarded upstream verbatim. A node without an upstream is a root.
+ * `flush_every` arrivals and once more on exit. A mid-run flush runs
+ * after the triggering arrival's ack is written, never before it.
+ *
+ * A flush ships only the hosts whose gap-free coverage advanced past
+ * what upstream last acknowledged; the parent splices per host, so a
+ * subset aggregate folds exactly like a whole one. The contract is
+ * "acked means durable" at the parent: a parent that loses its state
+ * is not refilled by later flushes (they carry only what changed),
+ * while a relay restart re-ships everything it holds, because its
+ * acknowledged-coverage record starts empty.
+ *
+ * An unreachable upstream is buffered, never fatal: the relay keeps
+ * folding, the unacknowledged hosts ride the next flush trigger, and
+ * only the final flush's failure is reported. Leaf shards stranded
+ * behind a sequence gap cannot ride inside an aggregate (coverage is a
+ * gap-free prefix), so they are forwarded upstream verbatim. A node
+ * without an upstream is a root.
  */
 
 #ifndef HBBP_FLEET_NODE_HH
 #define HBBP_FLEET_NODE_HH
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -89,10 +101,10 @@ struct FleetNodeOptions
     std::string upstream_host = "127.0.0.1";
     uint16_t upstream_port = 0;
     /**
-     * Push the partial aggregate upstream after every N accepted
-     * arrivals; 0 flushes only on exit. Small values trade upstream
-     * traffic for freshness and a smaller loss window without
-     * `state_file`.
+     * Push the hosts that advanced upstream after every N accepted
+     * arrivals; 0 flushes only on exit. Small values trade more,
+     * smaller upstream pushes for freshness and a smaller loss window
+     * without `state_file`.
      */
     size_t flush_every = 0;
     /** Upstream connection attempts for the final flush. */
@@ -190,14 +202,19 @@ class FleetNode
                 const std::vector<std::string> &chunks);
 
     /**
-     * Push the current partial aggregate (and any orphans) upstream.
-     * No-op when nothing changed since the last successful flush.
-     * False with *@p why on a failed push; the data stays buffered
-     * and the next flush retries it. @p max_attempts caps connection
-     * attempts: mid-run flushes run before the downstream ack and get
-     * one, the final flush gets upstream_retries.
+     * Push upstream the partials of the hosts whose coverage advanced
+     * past acked_coverage_ (and any orphans not yet forwarded). No-op
+     * when nothing advanced since the last acknowledged flush. False
+     * with *@p why on a failed push; the data stays buffered and the
+     * next flush carries it again. @p max_attempts caps connection
+     * attempts: mid-run flushes get one, the final flush gets
+     * upstream_retries.
      */
     bool flushUpstream(std::string *why, int max_attempts);
+
+    /** Run the mid-run flush commit() marked as due, if any; called
+     * once the arrival that triggered it has been acknowledged. */
+    void flushIfDue();
 
     FleetNodeOptions options_;
     IncrementalAggregator agg_;
@@ -214,17 +231,20 @@ class FleetNode
 
     // Relay state.
     uint32_t flush_seq_ = 0;
-    uint64_t last_flushed_checksum_ = 0;
+    /** Host -> coverage upstream acknowledged this run (success or
+     * duplicate ack); empty at start, so a restart re-ships all. */
+    std::map<std::string, uint32_t> acked_coverage_;
     std::set<uint64_t> forwarded_orphans_;
     size_t accepted_since_flush_ = 0;
+    bool flush_due_ = false;
     /**
-     * Every stamped trace id accepted this run, sorted (std::set) so
-     * the outgoing aggregate's `trace=` line is deterministic. Only
-     * *stamped* arrivals propagate: tracing is opt-in at the
-     * collector, and an unstamped fleet must keep rendering the exact
-     * pre-tracing manifest bytes.
+     * Stamped trace ids accepted since the last acknowledged aggregate
+     * flush, sorted (std::set) so the outgoing aggregate's `trace=`
+     * line is deterministic. Only *stamped* arrivals propagate:
+     * tracing is opt-in at the collector, and an unstamped fleet must
+     * keep rendering the exact pre-tracing manifest bytes.
      */
-    std::set<std::string> seen_trace_ids_;
+    std::set<std::string> unflushed_trace_ids_;
 };
 
 } // namespace hbbp

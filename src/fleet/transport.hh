@@ -179,9 +179,12 @@ struct ListenOptions
      */
     std::function<std::string(const std::string &)> on_query;
     /**
-     * Polled once per loop round; returning true ends serve() as if
-     * the expected count had been reached. Lets a co-hosted query
-     * endpoint (e.g. a `shutdown` verb) stop the daemon cleanly.
+     * Polled once per loop round, after every ack of the previous
+     * round was written; returning true ends serve() as if the
+     * expected count had been reached. Lets a co-hosted query
+     * endpoint (e.g. a `shutdown` verb) stop the daemon cleanly, and
+     * a relay run the upstream flush an arrival made due without
+     * holding back that arrival's ack.
      */
     std::function<bool()> should_stop;
 };

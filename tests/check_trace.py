@@ -8,7 +8,9 @@ fields carry trace=<id>; other events in the file are skipped. Finds
 the trace id stamped by `push --host <host>` and checks that its
 span records reconstruct the full collector -> relay -> root chain
 (push_start, push_acked, relay_accept, relay_flush, root_fold) with
-monotonic wall-clock timestamps along the lifecycle. Used by
+monotonic wall-clock timestamps along the lifecycle. Every trace id
+in the file must have at most one root_fold record: a relay forwards
+each id once, with the first flush that upstream acknowledges. Used by
 cli_relay_smoke.cmake.
 
 With --serve the chain is the co-hosted query daemon's shorter
@@ -66,6 +68,11 @@ def main():
     path, host = args.trace_file, args.host
 
     traces = load_traces(path)
+    for trace, by_span in sorted(traces.items()):
+        folds = by_span.get("root_fold", [])
+        if len(folds) > 1:
+            sys.exit(f"trace {trace}: {len(folds)} root_fold records "
+                     f"(a shard must be folded at the root once)")
 
     target = None
     for trace, by_span in traces.items():

@@ -10,7 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -25,6 +33,7 @@
 #include "fleet/store.hh"
 #include "fleet/transport.hh"
 #include "support/bytes.hh"
+#include "support/events.hh"
 #include "support/telemetry.hh"
 
 namespace fs = std::filesystem;
@@ -149,9 +158,11 @@ relayFold(const std::vector<LeafShard> &leaves,
 struct RootHarness
 {
     IncrementalAggregator agg;
-    ShardListener listener{0};
+    ShardListener listener;
     std::thread thread;
     size_t served = 0;
+
+    explicit RootHarness(uint16_t port = 0) : listener(port) {}
 
     void
     start(ListenOptions options)
@@ -690,12 +701,235 @@ TEST(RelayNode, FlushEveryStreamsGrowingCoverage)
     root.join();
 
     EXPECT_TRUE(rs.upstream_ok) << rs.error;
-    // Three mid-run flushes; the final flush had nothing new to say.
+    // Two mid-run flushes; the third arrival met the expected
+    // coverage, so the final flush shipped it.
     EXPECT_EQ(rs.flushes, 3u);
     EXPECT_EQ(root.agg.aggregate().serialize(), flat);
-    // Earlier flushes were superseded by later ones, never refolded.
+    // Each flush carried only the host that advanced: every arrival
+    // folded something new, none was superseded.
     EXPECT_EQ(root.agg.stats().accepted, 3u);
+    EXPECT_EQ(root.agg.stats().superseded, 0u);
     EXPECT_EQ(root.agg.coveredShards(), 3u);
+}
+
+/** A root listener that records the manifest of every accepted shard
+ * (read them after join()). */
+struct RecordingRoot
+{
+    std::vector<ShardManifest> arrivals; // Outlives root's thread.
+    RootHarness root;
+
+    explicit RecordingRoot(size_t expect, uint16_t port = 0) : root(port)
+    {
+        ListenOptions lo;
+        lo.expect = expect;
+        lo.on_accept = [this](const ShardManifest &m, const ProfileData &,
+                              const std::vector<std::string> &) {
+            arrivals.push_back(m);
+        };
+        root.start(std::move(lo));
+    }
+};
+
+using Coverage = std::vector<HostCoverage>;
+
+TEST(RelayNode, DeltaFlushCarriesOnlyTheHostsThatAdvanced)
+{
+    std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
+                                     makeLeaf("hostB", 0, 2),
+                                     makeLeaf("hostA", 1, 3)};
+    std::string flat = flatAggregateBytes(leaves);
+
+    RecordingRoot rec(3);
+    FleetNodeOptions ro = fastRelayOptions(rec.root.listener.port(), 3);
+    ro.flush_every = 1;
+    FleetNode relay(ro);
+    FleetNodeStats rs;
+    std::thread t([&] { rs = relay.run(); });
+    for (const LeafShard &leaf : leaves)
+        pushLeaf(leaf, relay.port());
+    t.join();
+    rec.root.join();
+
+    EXPECT_TRUE(rs.upstream_ok) << rs.error;
+    ASSERT_EQ(rec.arrivals.size(), 3u);
+    EXPECT_EQ(rec.arrivals[0].covered, (Coverage{{"hostA", 1}}));
+    EXPECT_EQ(rec.arrivals[1].covered, (Coverage{{"hostB", 1}}));
+    // Only hostA advanced since the last acked flush.
+    EXPECT_EQ(rec.arrivals[2].covered, (Coverage{{"hostA", 2}}));
+    EXPECT_EQ(rec.root.agg.aggregate().serialize(), flat);
+}
+
+TEST(RelayNode, FlushAfterAFailedOneCarriesTheUnion)
+{
+    std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
+                                     makeLeaf("hostB", 0, 2),
+                                     makeLeaf("hostC", 0, 3)};
+    std::string flat = flatAggregateBytes(leaves);
+    telemetry::Counter &failures =
+        telemetry::counter("hbbp_relay_flush_failures_total");
+    uint64_t failed_before = failures.value();
+
+    // The upstream port is closed until hostA's flush has failed.
+    uint16_t port = closedPort();
+    FleetNodeOptions ro = fastRelayOptions(port, 3);
+    ro.flush_every = 1;
+    FleetNode relay(ro);
+    FleetNodeStats rs;
+    std::thread t([&] { rs = relay.run(); });
+    pushLeaf(leaves[0], relay.port());
+    for (int i = 0; i < 500 && failures.value() == failed_before; i++)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_GT(failures.value(), failed_before);
+
+    RecordingRoot rec(3, port);
+    pushLeaf(leaves[1], relay.port());
+    pushLeaf(leaves[2], relay.port());
+    t.join();
+    rec.root.join();
+
+    EXPECT_TRUE(rs.upstream_ok) << rs.error;
+    EXPECT_EQ(rs.flush_failures, 1u);
+    ASSERT_EQ(rec.arrivals.size(), 2u);
+    // hostA was never acked, so it rides hostB's flush.
+    EXPECT_EQ(rec.arrivals[0].covered,
+              (Coverage{{"hostA", 1}, {"hostB", 1}}));
+    EXPECT_EQ(rec.arrivals[1].covered, (Coverage{{"hostC", 1}}));
+    EXPECT_EQ(rec.root.agg.aggregate().serialize(), flat);
+}
+
+TEST(RelayNode, RestartedRelayReshipsEveryRestoredHost)
+{
+    // The acknowledged coverage is not persisted: a relay restarted
+    // from --state cannot know what upstream holds, so its first
+    // flush carries everything it restored. The root skips what it
+    // already has and stays byte-identical to flat ingestion.
+    std::string dir = freshDir("delta_restart");
+    std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
+                                     makeLeaf("hostB", 0, 2),
+                                     makeLeaf("hostC", 0, 3)};
+    std::string flat = flatAggregateBytes(leaves);
+
+    RecordingRoot rec(3);
+    FleetNodeOptions ro = fastRelayOptions(rec.root.listener.port(), 2);
+    ro.id = "relay1";
+    ro.flush_every = 1;
+    ro.state_file = dir + "/relay1.state";
+    {
+        FleetNode relay(ro);
+        FleetNodeStats rs;
+        std::thread t([&] { rs = relay.run(); });
+        pushLeaf(leaves[0], relay.port());
+        pushLeaf(leaves[1], relay.port());
+        t.join();
+        EXPECT_TRUE(rs.upstream_ok) << rs.error;
+    }
+
+    ro.expect = 3;
+    FleetNode restarted(ro);
+    FleetNodeStats rs;
+    std::thread t([&] { rs = restarted.run(); });
+    pushLeaf(leaves[2], restarted.port());
+    t.join();
+    rec.root.join();
+
+    EXPECT_TRUE(rs.upstream_ok) << rs.error;
+    EXPECT_EQ(rs.restored, 2u);
+    ASSERT_EQ(rec.arrivals.size(), 3u);
+    EXPECT_EQ(rec.arrivals[0].covered, (Coverage{{"hostA", 1}}));
+    EXPECT_EQ(rec.arrivals[1].covered, (Coverage{{"hostB", 1}}));
+    EXPECT_EQ(rec.arrivals[2].covered,
+              (Coverage{{"hostA", 1}, {"hostB", 1}, {"hostC", 1}}));
+    EXPECT_EQ(rec.root.agg.aggregate().serialize(), flat);
+}
+
+TEST(RelayNode, EachTraceIdIsFoldedAtTheRootOnce)
+{
+    // A flush carries only the trace ids folded since the last acked
+    // flush, so the root closes every collector shard's chain once.
+    std::string log = freshDir("trace_once") + "/events.jsonl";
+    std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
+                                     makeLeaf("hostB", 0, 2),
+                                     makeLeaf("hostC", 0, 3)};
+    for (LeafShard &leaf : leaves)
+        leaf.manifest.trace_ids = {shardTraceId(leaf.manifest)};
+
+    events::openLog(log, "unit");
+    FleetNodeOptions root_options;
+    root_options.id = "root";
+    root_options.expect = 3;
+    FleetNode root(root_options);
+    FleetNodeStats root_stats;
+    std::thread root_thread([&] { root_stats = root.run(); });
+
+    FleetNodeOptions ro = fastRelayOptions(root.port(), 3);
+    ro.flush_every = 1;
+    FleetNode relay(ro);
+    FleetNodeStats rs;
+    std::thread t([&] { rs = relay.run(); });
+    for (const LeafShard &leaf : leaves)
+        pushLeaf(leaf, relay.port());
+    t.join();
+    root_thread.join();
+    events::openLog("", "");
+
+    EXPECT_TRUE(rs.upstream_ok) << rs.error;
+    std::vector<events::Event> folds;
+    std::string why;
+    ASSERT_TRUE(events::loadEvents(log, "root_fold", 0, &folds, &why))
+        << why;
+    std::map<std::string, int> per_id;
+    for (const events::Event &e : folds)
+        per_id[e.field("trace")]++;
+    ASSERT_EQ(per_id.size(), leaves.size());
+    for (const LeafShard &leaf : leaves)
+        EXPECT_EQ(per_id[leaf.manifest.trace_ids[0]], 1)
+            << leaf.manifest.trace_ids[0];
+}
+
+TEST(RelayNode, MidRunFlushWaitsUntilAfterTheAck)
+{
+    // An upstream that accepts connections but never acks: the flush
+    // the arrival makes due must not hold back the arrival's own ack
+    // (the flush would wait out the 30 s upstream io timeout).
+    int hole = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(hole, 0);
+    struct sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(hole, reinterpret_cast<struct sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(hole, 4), 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(hole, reinterpret_cast<struct sockaddr *>(&addr), &len);
+
+    FleetNodeOptions ro = fastRelayOptions(ntohs(addr.sin_port), 2);
+    ro.flush_every = 1;
+    ro.upstream_retries = 1;
+    FleetNode relay(ro);
+    FleetNodeStats rs;
+    std::thread t([&] { rs = relay.run(); });
+
+    auto start = std::chrono::steady_clock::now();
+    pushLeaf(makeLeaf("hostA", 0, 1), relay.port());
+    auto acked_after = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(acked_after, std::chrono::seconds(5));
+
+    // The relay's flush connects once the ack is out; take that
+    // connection, then drop it and the port so the flush fails fast.
+    struct pollfd pfd = {hole, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10'000), 1);
+    int conn = ::accept(hole, nullptr, nullptr);
+    ASSERT_GE(conn, 0);
+    ::close(conn);
+    ::close(hole);
+
+    pushLeaf(makeLeaf("hostB", 0, 2), relay.port());
+    t.join();
+    EXPECT_FALSE(rs.upstream_ok);
+    EXPECT_GE(rs.flush_failures, 1u);
+    EXPECT_EQ(rs.covered, 2u); // Still buffered here.
 }
 
 TEST(RelayNode, BuffersAndRetriesWhenUpstreamIsUnreachable)
